@@ -13,7 +13,7 @@ from .baseflow import (HA_FLOOR, BaseFlowSample, Params, baseflow_residual,
                        couette_profile, hartmann_profile, profile_for)
 from .critical import NeutralPoint, minimize_over_a, neutral_sweep
 from .errors import (ConsistencyError, MhdesError, NumericalError,
-                     ParameterError, RealityFilterError, VerificationError)
+                     ParameterError, VerificationError)
 from .orr_evp import (EvpPencil, EvpSolution, assemble_pencil, reynolds_curve,
                       solve_max_m)
 from .spectral import (ClampedMaps, SpectralOperator, build_operator,
@@ -39,7 +39,6 @@ __all__ = [
     "ParameterError",
     "ConsistencyError",
     "NumericalError",
-    "RealityFilterError",
     "VerificationError",
     "EvpPencil",
     "EvpSolution",

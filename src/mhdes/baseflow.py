@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ConsistencyError, ParameterError
 
 FLOWS = ("couette", "hartmann")
 HA_FLOOR = 1e-4
@@ -154,6 +154,20 @@ def profile_for(params, z):
     if params.flow == "couette":
         return couette_profile(params.Ha, z)
     return hartmann_profile(params.Ha, z)
+
+
+def check_sample(sample, params, nodes):
+    """Raise ConsistencyError unless sample was built for params on nodes.
+
+    This is the one bundle check shared by the pencil assembly and the
+    verification layer.
+    """
+    if sample.flow != params.flow or sample.Ha != params.Ha:
+        raise ConsistencyError(
+            f"sample is for flow={sample.flow!r}, Ha={sample.Ha:g}; params "
+            f"specify flow={params.flow!r}, Ha={params.Ha:g}")
+    if sample.z.shape != nodes.shape or not np.array_equal(sample.z, nodes):
+        raise ConsistencyError("sample nodes differ from operator nodes")
 
 
 def baseflow_residual(sample, params):

@@ -5,29 +5,30 @@ state, ``curve`` tabulates the threshold Reynolds number over wavenumber,
 ``neutral`` locates the minimizing wavenumber per Hartmann number, and
 ``verify`` runs the independent checks against the spectral solver.  All
 numeric output uses 17-significant-digit scientific notation and contains
-no timestamps, so reruns are byte-identical.  MHDES_THREADS caps the
-worker threads used for multi-Hartmann sweeps.
+no timestamps, so reruns are byte-identical.  ``curve`` and ``neutral`` run
+the library sweeps ``reynolds_curve`` and ``neutral_sweep`` one Hartmann
+number after another; a point that fails to solve is printed as NaN and the
+remaining points are still computed.
 
 Exit codes: 0 success, 2 usage or parameter problems, 3 numerical solver
-failures, 4 failed verification.
+failures (including any NaN row of ``curve`` or ``neutral``), 4 failed
+verification.
 """
 
 import argparse
 import dataclasses
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 import numpy.polynomial.chebyshev as ncheb
 
 from .baseflow import Params, profile_for
-from .critical import minimize_over_a
+from .critical import neutral_sweep
 from .errors import (ConsistencyError, MhdesError, NumericalError,
                      ParameterError, VerificationError)
-from .orr_evp import assemble_pencil, solve_max_m
+from .orr_evp import assemble_pencil, reynolds_curve, solve_max_m
 from .spectral import N_MAX, N_MIN, build_operator, clamped_restrict
 from .verify import (decay_check, energy_ratio, fd_oracle, make_trial_field,
                      poincare_check, random_trial_bound)
@@ -150,20 +151,6 @@ def _emit_table(out, fmt, header, rows):
     _write_text(out, "\n".join(lines) + "\n")
 
 
-def _worker_count(n_jobs):
-    limit = min(int(n_jobs), os.cpu_count() or 1)
-    env = os.environ.get("MHDES_THREADS")
-    if env:
-        try:
-            cap = int(env)
-        except ValueError as exc:
-            raise ParameterError(f"MHDES_THREADS must be an integer, got {env!r}") from exc
-        if cap < 1:
-            raise ParameterError(f"MHDES_THREADS must be >= 1, got {cap}")
-        limit = min(limit, cap)
-    return max(1, limit)
-
-
 def cmd_profile(config):
     """Sample the base state at the first Hartmann number of the config."""
     op = build_operator(config.N)
@@ -177,45 +164,41 @@ def cmd_profile(config):
     return 0
 
 
-def _curve_rows(config, Ha):
-    params = Params(flow=config.flow, Ha=Ha, Pm=config.Pm)
-    grid = np.geomspace(config.a_min, config.a_max, config.a_points)
-    op = build_operator(config.N)
-    sample = profile_for(params, op.nodes)
-    maps = clamped_restrict(op)
-    rows = []
-    for a in grid:
-        try:
-            re_a = solve_max_m(assemble_pencil(params, a, op, sample, maps)).Re_a
-        except NumericalError as exc:
-            print(f"mhdes: warning: curve point Ha={Ha:g}, a={a:g} failed: {exc}",
-                  file=sys.stderr)
-            re_a = float("nan")
-        rows.append([config.flow, float(Ha), config.Pm, float(a), re_a])
-    return rows
+def _sweep_status(thresholds):
+    """Exit code of a sweep: 3 if any threshold is NaN (a failed point)."""
+    n_failed = int(np.count_nonzero(np.isnan(thresholds)))
+    if n_failed:
+        print(f"mhdes: numerical failure: {n_failed} of {len(thresholds)} "
+              "points failed and are reported as NaN", file=sys.stderr)
+        return 3
+    return 0
 
 
 def cmd_curve(config):
     """Tabulate Re_a over a log-spaced wavenumber grid, one block per Ha."""
-    with ThreadPoolExecutor(max_workers=_worker_count(len(config.Ha_list))) as ex:
-        blocks = list(ex.map(lambda Ha: _curve_rows(config, Ha), config.Ha_list))
-    rows = [row for block in blocks for row in block]
+    grid = np.geomspace(config.a_min, config.a_max, config.a_points)
+    rows = []
+    for Ha in config.Ha_list:
+        params = Params(flow=config.flow, Ha=Ha, Pm=config.Pm)
+        try:
+            curve = reynolds_curve(params, grid, N=config.N)
+        except NumericalError as exc:
+            print(f"mhdes: warning: curve Ha={Ha:g} failed: {exc}",
+                  file=sys.stderr)
+            curve = [(float(a), float("nan")) for a in grid]
+        rows += [[config.flow, Ha, config.Pm, a, re_a] for a, re_a in curve]
     _emit_table(config.output_path, config.format, CURVE_HEADER, rows)
-    return 0
+    return _sweep_status([row[-1] for row in rows])
 
 
 def cmd_neutral(config):
     """Locate the threshold minimum per Hartmann number."""
-    def job(Ha):
-        params = Params(flow=config.flow, Ha=Ha, Pm=config.Pm)
-        return minimize_over_a(params, a_min=config.a_min, a_max=config.a_max,
-                               N=config.N)
-    with ThreadPoolExecutor(max_workers=_worker_count(len(config.Ha_list))) as ex:
-        points = list(ex.map(job, config.Ha_list))
+    points = neutral_sweep(config.flow, config.Ha_list, config.Pm,
+                           a_window=(config.a_min, config.a_max), N=config.N)
     rows = [[p.flow, p.Ha, p.Pm, p.a_crit, p.Re_E, p.N_used, p.converged]
             for p in points]
     _emit_table(config.output_path, config.format, NEUTRAL_HEADER, rows)
-    return 0
+    return _sweep_status([p.Re_E for p in points])
 
 
 def _verify_point(config, Ha, perturb_m_rel):

@@ -20,19 +20,8 @@ class ConsistencyError(MhdesError):
 
 
 class NumericalError(MhdesError):
-    """A solver failed to produce a usable result."""
-
-
-class RealityFilterError(NumericalError):
-    """No eigenvalue passed the realness filter.
-
-    Carries the five candidates with the smallest relative imaginary part
-    in ``candidates`` to aid diagnosis.
-    """
-
-    def __init__(self, message, candidates):
-        super().__init__(message)
-        self.candidates = list(candidates)
+    """A solver failed to produce a usable result, or was handed a pencil
+    without the Hermitian positive-definite structure its solve needs."""
 
 
 class VerificationError(MhdesError):

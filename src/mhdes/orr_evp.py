@@ -7,8 +7,9 @@ Galerkin quadratic forms on the clamped recombined basis: Mmat collects
 the weak biharmonic-minus-Laplacian energy (D^2 - a^2)^2 for each field
 with the magnetic block weighted by Ha^2, and Lmat collects the shear and
 magnetic-coupling production forms.  A strong-form collocation of the same
-blocks loses the Hermitian positive-definite structure that the filter and
-the ratio identity rely on, which is why the weak realization is used.
+blocks loses the Hermitian positive-definite structure that the Hermitian
+solve and the ratio identity rely on, which is why the weak realization is
+used.
 
 The velocity block of Lmat equals the Hermitian part of the weak advective
 operator exactly; the off-diagonal coupling blocks agree with the weak
@@ -27,14 +28,12 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .baseflow import HA_FLOOR, BaseFlowSample, Params, profile_for
-from .errors import (ConsistencyError, NumericalError, ParameterError,
-                     RealityFilterError)
+from .baseflow import (HA_FLOOR, BaseFlowSample, Params, check_sample,
+                       profile_for)
+from .errors import ConsistencyError, NumericalError, ParameterError
 from .spectral import ClampedMaps, SpectralOperator, build_operator, clamped_restrict
 
 log = logging.getLogger(__name__)
-
-REALITY_RTOL = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,16 +57,15 @@ class EvpPencil:
 
 @dataclass(frozen=True, eq=False)
 class EvpSolution:
-    """Largest real eigenvalue m, the threshold Re_a = 1/m, the full-grid
-    eigenfields, the pencil residual of the returned pair, and the number
-    of candidates discarded by the realness filter."""
+    """Largest eigenvalue m, the threshold Re_a = 1/m, the full-grid
+    eigenfields, and the pencil residual of the returned pair with the
+    eigenvector at unit 2-norm."""
 
     m: float
     Re_a: float
     w_hat: np.ndarray
     l_hat: np.ndarray
     residual: float
-    spurious_rejected: int
 
 
 def _production_forms(sample, qw, maps):
@@ -133,12 +131,7 @@ def assemble_pencil(params, a, op, sample, maps=None, force_coupled=False):
         raise ParameterError("assemble_pencil expects a BaseFlowSample")
     if not np.isfinite(a) or a <= 0:
         raise ParameterError(f"wavenumber a must be finite and > 0, got {a}")
-    if sample.flow != params.flow or sample.Ha != params.Ha:
-        raise ConsistencyError(
-            f"sample is for flow={sample.flow!r}, Ha={sample.Ha:g}; params "
-            f"specify flow={params.flow!r}, Ha={params.Ha:g}")
-    if sample.z.shape != op.nodes.shape or not np.array_equal(sample.z, op.nodes):
-        raise ConsistencyError("sample nodes differ from operator nodes")
+    check_sample(sample, params, op.nodes)
     if maps is None:
         maps = clamped_restrict(op)
     elif maps.inject.shape != (op.N + 1, op.N - 3):
@@ -148,40 +141,34 @@ def assemble_pencil(params, a, op, sample, maps=None, force_coupled=False):
 
 
 def solve_max_m(pencil):
-    """Largest real eigenvalue of the assembled pencil.
+    """Largest eigenvalue of the assembled pencil.
 
-    Solves the dense generalized problem by the QZ path, discards
-    eigenvalues whose relative imaginary part exceeds REALITY_RTOL (with
-    an absolute floor of 1e-3 times the median candidate magnitude), and
-    returns the maximum of the survivors together with its eigenfields
-    injected back onto the full grid.
+    The pencil is self-adjoint, so only the top eigenpair of the Hermitian
+    problem (-Lmat/2) q = m Mmat q is computed, and its eigenvector is
+    scaled to unit 2-norm before it is injected back onto the full grid.
+    A pencil whose Lmat is not exactly Hermitian, whose Mmat is not exactly
+    symmetric, or whose Mmat has no Cholesky factor raises NumericalError
+    instead of being solved.
     """
     if not isinstance(pencil, EvpPencil):
         raise ParameterError("solve_max_m expects an EvpPencil")
-    mv, V = sla.eig(-0.5 * pencil.Lmat, pencil.Mmat)
-    finite = np.isfinite(mv)
-    absv = np.abs(mv[finite])
-    floor = 1e-3 * float(np.median(absv)) if absv.size else 1.0
-    scale = np.maximum(np.abs(mv), floor)
-    with np.errstate(invalid="ignore"):
-        rel_im = np.abs(mv.imag) / scale
-    ok = finite & (rel_im <= REALITY_RTOL)
-    n_ok = int(np.count_nonzero(ok))
-    spurious = mv.size - n_ok
-    if n_ok == 0:
-        order = np.argsort(np.where(finite, rel_im, np.inf))[:5]
-        raise RealityFilterError(
-            "no eigenvalue passed the realness filter", mv[order])
-    cand = np.where(ok)[0]
-    ibest = cand[np.argmax(mv[cand].real)]
-    m = float(mv[ibest].real)
+    L, M = pencil.Lmat, pencil.Mmat
+    if not np.array_equal(L, L.conj().T) or not np.array_equal(M, M.conj().T):
+        raise NumericalError("pencil is not Hermitian; the self-adjoint "
+                             "solve does not apply")
+    n = L.shape[0]
+    try:
+        mv, V = sla.eigh(-0.5 * L, M, subset_by_index=[n - 1, n - 1])
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(
+            f"mass matrix is not positive definite: {exc}") from exc
+    m = float(mv[0])
     if m <= 0:
         raise NumericalError(
-            f"largest real eigenvalue is non-positive ({m:g}); the growth "
+            f"largest eigenvalue is non-positive ({m:g}); the growth "
             "ratio must be positive for the supported base states")
-    q = V[:, ibest]
-    res = np.linalg.norm(pencil.Lmat @ q + 2.0 * m * (pencil.Mmat @ q))
-    residual = float(res / np.linalg.norm(q))
+    q = V[:, 0] / np.linalg.norm(V[:, 0])
+    residual = float(np.linalg.norm(L @ q + 2.0 * m * (M @ q)))
     nm = pencil.maps.inject.shape[1]
     w_hat = pencil.maps.inject @ q[:nm]
     if pencil.hydro:
@@ -189,7 +176,7 @@ def solve_max_m(pencil):
     else:
         l_hat = pencil.maps.inject @ q[nm:]
     return EvpSolution(m=m, Re_a=1.0 / m, w_hat=w_hat, l_hat=l_hat,
-                       residual=residual, spurious_rejected=spurious)
+                       residual=residual)
 
 
 def reynolds_curve(params, a_grid, N=60):

@@ -5,9 +5,8 @@ Clenshaw-Curtis quadrature weights on the same nodes, and a clamped-boundary
 restriction built by basis recombination: the columns of the injection map
 are (1 - z^2)^2 * T_j(z), normalized so that interior nodal values act as
 the degrees of freedom.  Derivatives of the recombined basis are evaluated
-from exact Chebyshev coefficient differentiation, which keeps the clamped
-fourth-derivative map free of the extra rounding a product of second-order
-maps would introduce.
+from exact Chebyshev coefficient differentiation rather than as products
+of collocation matrices, which would add rounding.
 """
 
 from dataclasses import dataclass
@@ -27,16 +26,13 @@ class SpectralOperator:
 
     nodes are ordered from +1 down to -1 (standard Gauss-Lobatto order),
     the endpoints are exact and the grid is exactly antisymmetric.
-    D1..D4 are the first- through fourth-derivative matrices, qweights the
-    Clenshaw-Curtis weights on the same nodes (sum = 2).
+    D1 is the first-derivative matrix, qweights the Clenshaw-Curtis weights
+    on the same nodes (sum = 2).
     """
 
     N: int
     nodes: np.ndarray
     D1: np.ndarray
-    D2: np.ndarray
-    D3: np.ndarray
-    D4: np.ndarray
     qweights: np.ndarray
 
 
@@ -46,23 +42,19 @@ class ClampedMaps:
 
     inject maps N-3 interior values to full nodal vectors satisfying
     f = f' = 0 at both walls; its rows at the interior index set are the
-    identity.  basis_d1/basis_d2/basis_d4 hold the derivative values of the
-    same recombined basis on the full grid.  D2c and D4c are the square
-    clamped second- and fourth-derivative maps on interior values.
+    identity.  basis_d1/basis_d2 hold the first and second derivative values
+    of the same recombined basis on the full grid.
     """
 
     interior_idx: np.ndarray
     inject: np.ndarray
     basis_d1: np.ndarray
     basis_d2: np.ndarray
-    basis_d4: np.ndarray
-    D2c: np.ndarray
-    D4c: np.ndarray
     basis_cond: float
 
 
-def _chebdif(N, maxorder=4):
-    """Differentiation matrices of orders 1..maxorder on N+1 CGL nodes.
+def _chebdif(N):
+    """Nodes and first-derivative matrix on N+1 CGL nodes.
 
     Trigonometric-identity construction with the negative-sum diagonal
     correction; the node vector is symmetrized so z = 0 is exact on even
@@ -85,14 +77,10 @@ def _chebdif(N, maxorder=4):
     C = np.outer(c, 1.0 / c)
     Z = 1.0 / DX
     np.fill_diagonal(Z, 0.0)
-    D = np.eye(n)
-    mats = {}
-    for ell in range(1, maxorder + 1):
-        D = ell * Z * (C * np.tile(np.diag(D), (n, 1)).T - D)
-        np.fill_diagonal(D, 0.0)
-        np.fill_diagonal(D, -np.sum(D, axis=1))
-        mats[ell] = D.copy()
-    return x, mats
+    D = Z * (C - np.eye(n))
+    np.fill_diagonal(D, 0.0)
+    np.fill_diagonal(D, -np.sum(D, axis=1))
+    return x, D
 
 
 def _clencurt(N):
@@ -120,10 +108,9 @@ def build_operator(N):
         raise ParameterError(f"N must be an integer, got {N!r}")
     if not (N_MIN <= N <= N_MAX):
         raise ParameterError(f"N must lie in [{N_MIN}, {N_MAX}], got {N}")
-    x, D = _chebdif(int(N), maxorder=4)
+    x, D1 = _chebdif(int(N))
     w = _clencurt(int(N))
-    return SpectralOperator(N=int(N), nodes=x, D1=D[1], D2=D[2], D3=D[3],
-                            D4=D[4], qweights=w)
+    return SpectralOperator(N=int(N), nodes=x, D1=D1, qweights=w)
 
 
 def clamped_restrict(op):
@@ -142,7 +129,6 @@ def clamped_restrict(op):
     V = np.empty((N + 1, nm))
     V1 = np.empty((N + 1, nm))
     V2 = np.empty((N + 1, nm))
-    V4 = np.empty((N + 1, nm))
     for j in range(nm):
         cj = np.zeros(j + 1)
         cj[j] = 1.0
@@ -150,7 +136,6 @@ def clamped_restrict(op):
         V[:, j] = ncheb.chebval(x, pj)
         V1[:, j] = ncheb.chebval(x, ncheb.chebder(pj, 1))
         V2[:, j] = ncheb.chebval(x, ncheb.chebder(pj, 2))
-        V4[:, j] = ncheb.chebval(x, ncheb.chebder(pj, 4))
     for tab in (V, V1):
         tab[0, :] = 0.0
         tab[N, :] = 0.0
@@ -161,7 +146,5 @@ def clamped_restrict(op):
     R[idx, :] = np.eye(nm)
     G1 = V1 @ C
     G2 = V2 @ C
-    G4 = V4 @ C
     return ClampedMaps(interior_idx=idx, inject=R, basis_d1=G1, basis_d2=G2,
-                       basis_d4=G4, D2c=G2[idx, :], D4c=G4[idx, :],
                        basis_cond=float(np.linalg.cond(Vint)))

@@ -19,7 +19,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .baseflow import HA_FLOOR, BaseFlowSample, profile_for
+from .baseflow import HA_FLOOR, BaseFlowSample, check_sample, profile_for
 from .errors import ConsistencyError, ParameterError, VerificationError
 from .spectral import SpectralOperator, build_operator
 
@@ -104,12 +104,7 @@ def _check_bundle(field, params, sample, op):
         raise ParameterError("expected a SpectralOperator")
     if not isinstance(sample, BaseFlowSample):
         raise ParameterError("expected a BaseFlowSample")
-    if sample.flow != params.flow or sample.Ha != params.Ha:
-        raise ConsistencyError(
-            f"sample is for flow={sample.flow!r}, Ha={sample.Ha:g}; params "
-            f"specify flow={params.flow!r}, Ha={params.Ha:g}")
-    if sample.z.shape != op.nodes.shape or not np.array_equal(sample.z, op.nodes):
-        raise ConsistencyError("sample nodes differ from operator nodes")
+    check_sample(sample, params, op.nodes)
     if field.w_hat.shape != op.nodes.shape:
         raise ConsistencyError("field arrays do not match the operator nodes")
 
@@ -295,6 +290,16 @@ def _fd_matrices(params, a, M):
     return (-0.5 * L).tocsc(), Mm.tocsc()
 
 
+def _dense_work(S):
+    """Dense Fortran-ordered copy of a sparse matrix for LAPACK to overwrite.
+
+    toarray clears the supplied buffer, so every page of it is written and
+    the resident size no longer depends on which pages the sparse entries
+    touch (or on whether the kernel backs the buffer with huge pages).
+    """
+    return S.toarray(out=np.empty(S.shape, dtype=S.dtype, order="F"))
+
+
 def _fd_max_m(params, a, M):
     """Largest eigenvalue of the FD pencil at one grid size.
 
@@ -307,7 +312,8 @@ def _fd_max_m(params, a, M):
     Lh, Mm = _fd_matrices(params, a, M)
     n = Lh.shape[0]
     if n <= FD_DENSE_LIMIT:
-        vals = sla.eigh(Lh.toarray(), Mm.toarray(), eigvals_only=True)
+        vals = sla.eigh(_dense_work(Lh), _dense_work(Mm.astype(complex)),
+                        eigvals_only=True, overwrite_a=True, overwrite_b=True)
         return float(vals[-1])
     m_coarse = _fd_max_m(params, a, FD_COARSE_M)
     sigma = 1.05 * m_coarse

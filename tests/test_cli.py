@@ -1,4 +1,5 @@
-"""End-to-end command line behavior via subprocess."""
+"""Command line behavior: end to end via subprocess, and in process where a
+solver failure is injected."""
 
 import json
 import math
@@ -9,14 +10,20 @@ import sys
 import numpy as np
 import pytest
 
+import mhdes
+from mhdes import cli, critical, orr_evp
 from mhdes.cli import (CURVE_HEADER, NEUTRAL_HEADER, PROFILE_HEADER,
                        RunConfig, _fmt)
+from mhdes.errors import NumericalError
 
 
-def run_cli(*args, env_extra=None):
+def run_cli(*args):
+    # the child imports the same mhdes as this process, whether or not
+    # PYTHONPATH names the source tree
     env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mhdes.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
     return subprocess.run([sys.executable, "-m", "mhdes", *args],
                           capture_output=True, text=True, env=env)
 
@@ -202,13 +209,35 @@ def test_usage_errors_exit_two(args):
     assert run_cli(*args).returncode == 2
 
 
-def test_worker_cap_does_not_change_output():
-    args = ("curve", "--ha", "0.5", "2", "--a-points", "3", "--n", "20")
-    serial = run_cli(*args, env_extra={"MHDES_THREADS": "1"})
-    wide = run_cli(*args, env_extra={"MHDES_THREADS": "4"})
-    assert serial.stdout == wide.stdout
-    bad = run_cli(*args, env_extra={"MHDES_THREADS": "soon"})
-    assert bad.returncode == 2
+def test_failed_points_print_nan_and_exit_three(monkeypatch, capsys):
+    # one failing Ha (neutral) or one failing a (curve) is printed as a NaN
+    # row, every other row is unchanged, and the exit code is 3
+    a_mid = float(np.geomspace(0.2, 4.0, 3)[1])
+    cases = (
+        (("neutral", "--ha", "0.5", "1", "2", "--n", "20"), critical,
+         lambda pen: pen.params.Ha == 1.0),
+        (("curve", "--ha", "0.5", "2", "--a-points", "3", "--n", "20"),
+         orr_evp, lambda pen: pen.params.Ha == 0.5 and pen.a == a_mid),
+    )
+    for args, module, fails in cases:
+        assert cli.main(list(args)) == 0
+        _, clean = parse_csv(capsys.readouterr().out)
+        solve = module.solve_max_m
+
+        def patched(pencil, solve=solve, fails=fails):
+            if fails(pencil):
+                raise NumericalError("injected failure")
+            return solve(pencil)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(module, "solve_max_m", patched)
+            code = cli.main(list(args))
+        _, rows = parse_csv(capsys.readouterr().out)
+        assert code == 3
+        assert len(rows) == len(clean)
+        assert all(math.isfinite(float(r[4])) for r in clean)
+        assert [r for r in rows if r[4] == "NaN"] == [rows[1]]
+        assert rows[:1] + rows[2:] == clean[:1] + clean[2:]
 
 
 def test_float_formatting():
