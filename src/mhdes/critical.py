@@ -44,7 +44,8 @@ def minimize_over_a(params, a_min=0.2, a_max=4.0, N=60, coarse_points=40):
     Runs a coarse scan on coarse_points log-spaced wavenumbers, then
     golden-section refinement to an interval of width A_TOL around an
     interior scan minimum.  Curve points that fail to solve are skipped
-    with a warning; if every coarse point fails the error propagates.
+    and counted in one warning per minimum; if every coarse point fails
+    the error propagates.
     """
     if not (np.isfinite(a_min) and np.isfinite(a_max)) or not 0 < a_min < a_max:
         raise ParameterError(
@@ -55,24 +56,35 @@ def minimize_over_a(params, a_min=0.2, a_max=4.0, N=60, coarse_points=40):
     sample = profile_for(params, op.nodes)
     maps = clamped_restrict(op)
 
+    failures = []
+
     def re_at(a):
         try:
             return solve_max_m(assemble_pencil(params, a, op, sample, maps)).Re_a
         except NumericalError as exc:
-            log.warning("threshold point a=%g failed: %s", a, exc)
+            failures.append((a, exc))
             return math.inf
+
+    def point(a_crit, Re_E, converged):
+        if failures:
+            a, exc = failures[0]
+            log.warning("%s Ha=%g Pm=%g: %d threshold solves failed; "
+                        "first at a=%g: %s", params.flow, params.Ha, params.Pm,
+                        len(failures), a, exc)
+        return NeutralPoint(flow=params.flow, Ha=params.Ha, Pm=params.Pm,
+                            a_crit=a_crit, Re_E=Re_E, N_used=op.N,
+                            converged=converged)
 
     grid = np.geomspace(a_min, a_max, coarse_points)
     vals = np.array([re_at(a) for a in grid])
     if not np.any(np.isfinite(vals)):
         raise NumericalError(
-            f"all {coarse_points} coarse scan points failed for {params}")
+            f"all {coarse_points} coarse scan points failed for {params}; "
+            f"first error: {failures[0][1]}")
     i = int(np.argmin(vals))
     best_a, best_re = float(grid[i]), float(vals[i])
     if i == 0 or i == coarse_points - 1:
-        return NeutralPoint(flow=params.flow, Ha=params.Ha, Pm=params.Pm,
-                            a_crit=best_a, Re_E=best_re, N_used=op.N,
-                            converged=False)
+        return point(best_a, best_re, converged=False)
     lo, hi = float(grid[i - 1]), float(grid[i + 1])
     x1 = hi - GOLDEN * (hi - lo)
     x2 = lo + GOLDEN * (hi - lo)
@@ -94,16 +106,15 @@ def minimize_over_a(params, a_min=0.2, a_max=4.0, N=60, coarse_points=40):
             f2 = re_at(x2)
             if f2 < best_re:
                 best_a, best_re = x2, f2
-    return NeutralPoint(flow=params.flow, Ha=params.Ha, Pm=params.Pm,
-                        a_crit=best_a, Re_E=best_re, N_used=op.N,
-                        converged=True)
+    return point(best_a, best_re, converged=True)
 
 
 def neutral_sweep(flow, Ha_list, Pm, a_window=(0.2, 4.0), N=60):
     """Threshold points for each Hartmann number in Ha_list, input order.
 
-    A parameter point whose search fails numerically yields a NaN point
-    flagged converged=False so the remaining sweep still completes.
+    A parameter point whose search fails numerically is logged once and
+    yields a NaN point flagged converged=False so the remaining sweep still
+    completes.
     """
     Ha_arr = np.atleast_1d(np.asarray(Ha_list, dtype=float))
     if Ha_arr.size == 0:
@@ -117,7 +128,8 @@ def neutral_sweep(flow, Ha_list, Pm, a_window=(0.2, 4.0), N=60):
         try:
             out.append(minimize_over_a(params, a_min=a_min, a_max=a_max, N=N))
         except NumericalError as exc:
-            log.warning("sweep point Ha=%g failed: %s", Ha, exc)
+            log.warning("%s Ha=%g Pm=%g: threshold search failed: %s",
+                        flow, Ha, Pm, exc)
             out.append(NeutralPoint(flow=flow, Ha=float(Ha), Pm=float(Pm),
                                     a_crit=float("nan"), Re_E=float("nan"),
                                     N_used=N, converged=False))

@@ -17,6 +17,15 @@ second-derivative coupling up to discrete integration-by-parts aliasing
 that vanishes with resolution and does not perturb the eigenvalues beyond
 the documented residual bound.
 
+Every block of Lmat is purely imaginary and Mmat is real, so the top
+eigenpair is found in real arithmetic: Mmat is Cholesky-factored, the
+whitened real antisymmetric matrix Y gives m as its largest singular
+value, and the complex eigenvector is rebuilt from a real one.  The solve
+uses NumPy alone; mixing in SciPy's LAPACK would alternate between two
+bundled OpenBLAS thread pools on every wavenumber, and the workers of one
+pool keep spinning for a while after its last call, holding the cores the
+other pool needs.
+
 Below HA_FLOOR the magnetic sector decouples and a single-field pencil is
 assembled; force_coupled=True keeps the two-field structure for
 diagnostics such as reduction tests.
@@ -26,7 +35,6 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from .baseflow import (HA_FLOOR, BaseFlowSample, Params, check_sample,
                        profile_for)
@@ -40,10 +48,10 @@ log = logging.getLogger(__name__)
 class EvpPencil:
     """Assembled generalized eigenproblem Lmat q + 2 m Mmat q = 0.
 
-    Lmat is Hermitian; Mmat is real symmetric positive definite (the
-    magnetic block carries the Ha^2 weight).  hydro marks the single-field
-    reduction used below HA_FLOOR; maps is kept so solutions can be
-    injected back onto the full grid.
+    Lmat is Hermitian and purely imaginary; Mmat is real symmetric
+    positive definite (the magnetic block carries the Ha^2 weight).  hydro
+    marks the single-field reduction used below HA_FLOOR; maps is kept so
+    solutions can be injected back onto the full grid.
     """
 
     a: float
@@ -143,12 +151,21 @@ def assemble_pencil(params, a, op, sample, maps=None, force_coupled=False):
 def solve_max_m(pencil):
     """Largest eigenvalue of the assembled pencil.
 
-    The pencil is self-adjoint, so only the top eigenpair of the Hermitian
-    problem (-Lmat/2) q = m Mmat q is computed, and its eigenvector is
-    scaled to unit 2-norm before it is injected back onto the full grid.
-    A pencil whose Lmat is not exactly Hermitian, whose Mmat is not exactly
-    symmetric, or whose Mmat has no Cholesky factor raises NumericalError
-    instead of being solved.
+    The pencil is self-adjoint and real up to a factor i: Lmat is purely
+    imaginary Hermitian, so -Lmat/2 = i K with K real antisymmetric, and
+    Mmat is real symmetric positive definite.  With Mmat = c c^T the
+    problem (-Lmat/2) q = m Mmat q becomes i Y v = m v for the real
+    antisymmetric Y = c^-1 K c^-T and q = c^-T v.  The top eigenvalue m is
+    the largest singular value of Y, the square root of the top eigenvalue
+    of Y^T Y; for its unit eigenvector w, v = w + i Y w / m.  The solve
+    runs in real arithmetic through NumPy alone, so the hot path of a
+    sweep never alternates between two BLAS libraries.
+
+    The eigenvector is scaled to unit 2-norm before it is injected back
+    onto the full grid, and the residual is taken on the complex pencil.
+    A pencil whose Lmat is not exactly Hermitian or has a nonzero real
+    part, whose Mmat is not exactly real symmetric, or whose Mmat has no
+    Cholesky factor raises NumericalError instead of being solved.
     """
     if not isinstance(pencil, EvpPencil):
         raise ParameterError("solve_max_m expects an EvpPencil")
@@ -156,18 +173,30 @@ def solve_max_m(pencil):
     if not np.array_equal(L, L.conj().T) or not np.array_equal(M, M.conj().T):
         raise NumericalError("pencil is not Hermitian; the self-adjoint "
                              "solve does not apply")
-    n = L.shape[0]
+    if np.any(np.real(L)) or np.any(np.imag(M)):
+        raise NumericalError("Lmat is not purely imaginary or Mmat is not "
+                             "real; the real solve does not apply")
+    K = -0.5 * np.imag(L)
     try:
-        mv, V = sla.eigh(-0.5 * L, M, subset_by_index=[n - 1, n - 1])
+        c = np.linalg.cholesky(np.real(M))
     except np.linalg.LinAlgError as exc:
         raise NumericalError(
             f"mass matrix is not positive definite: {exc}") from exc
-    m = float(mv[0])
-    if m <= 0:
+    ci = np.linalg.inv(c)
+    Y = ci @ K @ ci.T
+    Y = 0.5 * (Y - Y.T)
+    lam, W = np.linalg.eigh(Y.T @ Y)
+    m = float(np.sqrt(max(lam[-1], 0.0)))
+    if not m > 0:
         raise NumericalError(
             f"largest eigenvalue is non-positive ({m:g}); the growth "
             "ratio must be positive for the supported base states")
-    q = V[:, 0] / np.linalg.norm(V[:, 0])
+    # solving with c.T keeps the residual at the level of a generalized
+    # Hermitian solve; multiplying by ci.T raises it to 1e-8 at N = 101
+    w = W[:, -1]
+    qr, qi = np.linalg.solve(c.T, np.column_stack((w, (Y @ w) / m))).T
+    q = qr + 1j * qi
+    q /= np.linalg.norm(q)
     residual = float(np.linalg.norm(L @ q + 2.0 * m * (M @ q)))
     nm = pencil.maps.inject.shape[1]
     w_hat = pencil.maps.inject @ q[:nm]
@@ -183,8 +212,9 @@ def reynolds_curve(params, a_grid, N=60):
     """Threshold curve Re_a = 1/m over a grid of wavenumbers.
 
     Returns a list of (a, Re_a) pairs in grid order.  Individual solver
-    failures are logged and reported as NaN so a sweep survives isolated
-    bad points; if every point fails, the last error propagates.
+    failures are reported as NaN, and counted in one warning per curve, so
+    a sweep survives isolated bad points; if every point fails, a
+    NumericalError naming the first error is raised.
     """
     a_grid = np.atleast_1d(np.asarray(a_grid, dtype=float))
     if a_grid.size == 0:
@@ -195,18 +225,21 @@ def reynolds_curve(params, a_grid, N=60):
     sample = profile_for(params, op.nodes)
     maps = clamped_restrict(op)
     out = []
-    n_fail = 0
-    last_err = None
+    failures = []
     for a in a_grid:
         try:
             sol = solve_max_m(assemble_pencil(params, a, op, sample, maps))
             out.append((float(a), sol.Re_a))
         except NumericalError as exc:
-            n_fail += 1
-            last_err = exc
-            log.warning("curve point a=%g failed: %s", a, exc)
+            failures.append((a, exc))
             out.append((float(a), float("nan")))
-    if n_fail == a_grid.size:
-        raise NumericalError(
-            f"all {n_fail} curve points failed; last error: {last_err}")
+    if failures:
+        a, exc = failures[0]
+        if len(failures) == a_grid.size:
+            raise NumericalError(
+                f"all {a_grid.size} curve points failed for {params}; "
+                f"first error: {exc}")
+        log.warning("%s Ha=%g Pm=%g: %d of %d curve points failed; "
+                    "first at a=%g: %s", params.flow, params.Ha, params.Pm,
+                    len(failures), a_grid.size, a, exc)
     return out

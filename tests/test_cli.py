@@ -2,6 +2,7 @@
 solver failure is injected."""
 
 import json
+import logging
 import math
 import os
 import subprocess
@@ -209,18 +210,23 @@ def test_usage_errors_exit_two(args):
     assert run_cli(*args).returncode == 2
 
 
-def test_failed_points_print_nan_and_exit_three(monkeypatch, capsys):
+def test_failed_points_print_nan_and_exit_three(monkeypatch, capsys, caplog):
     # one failing Ha (neutral) or one failing a (curve) is printed as a NaN
-    # row, every other row is unchanged, and the exit code is 3
+    # row, every other row is unchanged, the exit code is 3, and the failed
+    # Ha is logged once with its flow
     a_mid = float(np.geomspace(0.2, 4.0, 3)[1])
     cases = (
         (("neutral", "--ha", "0.5", "1", "2", "--n", "20"), critical,
-         lambda pen: pen.params.Ha == 1.0),
+         lambda pen: pen.params.Ha == 1.0, "couette Ha=1 "),
         (("curve", "--ha", "0.5", "2", "--a-points", "3", "--n", "20"),
-         orr_evp, lambda pen: pen.params.Ha == 0.5 and pen.a == a_mid),
+         orr_evp, lambda pen: pen.params.Ha == 0.5 and pen.a == a_mid,
+         "couette Ha=0.5 "),
     )
-    for args, module, fails in cases:
+    caplog.set_level(logging.WARNING, logger="mhdes")
+    for args, module, fails, tag in cases:
+        caplog.clear()
         assert cli.main(list(args)) == 0
+        assert not caplog.records
         _, clean = parse_csv(capsys.readouterr().out)
         solve = module.solve_max_m
 
@@ -238,6 +244,10 @@ def test_failed_points_print_nan_and_exit_three(monkeypatch, capsys):
         assert all(math.isfinite(float(r[4])) for r in clean)
         assert [r for r in rows if r[4] == "NaN"] == [rows[1]]
         assert rows[:1] + rows[2:] == clean[:1] + clean[2:]
+        warnings = [r.getMessage() for r in caplog.records
+                    if r.levelno == logging.WARNING]
+        assert len(warnings) == 1
+        assert warnings[0].startswith(tag) and "injected failure" in warnings[0]
 
 
 def test_float_formatting():

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 import mhdes
 from mhdes.errors import ConsistencyError, NumericalError, ParameterError
@@ -197,18 +198,71 @@ def test_assembly_validation(wb):
 
 
 def test_solve_rejects_non_hermitian_or_indefinite_pencil(wb):
-    # the Hermitian solve must refuse a pencil without the self-adjoint
-    # positive-definite structure instead of returning a wrong eigenvalue
+    # the real Cholesky-whitened solve must refuse a pencil without the
+    # self-adjoint, purely-imaginary-over-SPD structure instead of returning
+    # a wrong eigenvalue; each case reaches a different guard
     rng = np.random.default_rng(3)
     n = 10
     X = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    Xr = X.real
 
     def pencil(L, M):
         return EvpPencil(a=1.0, Lmat=L, Mmat=M,
                          params=wb.params("couette", 1.0), N=13, hydro=True,
                          maps=wb.maps(13))
 
-    with pytest.raises(NumericalError):
+    with pytest.raises(NumericalError, match="not Hermitian"):
         mhdes.solve_max_m(pencil(X, np.eye(n)))
-    with pytest.raises(NumericalError):
-        mhdes.solve_max_m(pencil(X + X.conj().T, -np.eye(n)))
+    with pytest.raises(NumericalError, match="positive definite"):
+        mhdes.solve_max_m(pencil(1j * (Xr - Xr.T), -np.eye(n)))
+    with pytest.raises(NumericalError, match="purely imaginary"):
+        mhdes.solve_max_m(pencil(X + X.conj().T, np.eye(n)))
+    with pytest.raises(NumericalError, match="purely imaginary"):
+        mhdes.solve_max_m(pencil(1j * (Xr - Xr.T),
+                                 np.eye(n) + 0.1j * (Xr - Xr.T)))
+
+
+def test_pencil_is_purely_imaginary_over_real(wb):
+    # the real solve rests on this structure of the assembled pencil
+    for flow in ("couette", "hartmann"):
+        op, mp = wb.op(40), wb.maps(40)
+        for Ha, coupled in ((1e-6, False), (1e-6, True), (10.0, False)):
+            params = wb.params(flow, Ha)
+            pen = mhdes.assemble_pencil(params, 1.2, op,
+                                        wb.sample(flow, Ha, 40), mp,
+                                        force_coupled=coupled)
+            assert pen.hydro == (Ha < 1e-4 and not coupled)
+            assert not np.any(pen.Lmat.real)
+            assert np.isrealobj(pen.Mmat)
+
+
+@pytest.mark.parametrize("flow", ["couette", "hartmann"])
+@pytest.mark.parametrize("N", [40, 80])
+def test_real_solve_matches_hermitian_reference(wb, flow, N):
+    # a generalized Hermitian eigh on the complex pencil is the reference
+    # route for the real Cholesky-whitened solve
+    for Ha in (1e-6, 0.1, 10.0, 300.0):
+        for a in (0.3, 1.2, 20.0):
+            pen = wb.pencil(flow, Ha, a, N=N)
+            n = pen.Lmat.shape[0]
+            ref = sla.eigh(-0.5 * pen.Lmat, pen.Mmat,
+                           subset_by_index=[n - 1, n - 1],
+                           eigvals_only=True)[0]
+            sol = mhdes.solve_max_m(pen)
+            assert abs(sol.m - ref) <= 1e-9 * ref
+            assert sol.residual <= 1e-8
+
+
+def test_threshold_search_runs_without_scipy_linalg(wb, monkeypatch):
+    # the solver's hot path must stay on NumPy's BLAS alone; a SciPy call
+    # there would wake a second BLAS thread pool on every wavenumber
+    def refuse(*args, **kwargs):
+        raise AssertionError("scipy.linalg called in the solver hot path")
+
+    for name in ("eigh", "cholesky", "solve_triangular"):
+        monkeypatch.setattr(sla, name, refuse)
+    params = wb.params("couette", 1.0)
+    curve = mhdes.reynolds_curve(params, [0.5, 1.2, 3.0], N=40)
+    assert all(np.isfinite(re_a) and re_a > 0 for _, re_a in curve)
+    point = mhdes.minimize_over_a(params, 0.2, 4.0, N=40)
+    assert point.converged and np.isfinite(point.Re_E)
