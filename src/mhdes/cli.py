@@ -8,7 +8,9 @@ numeric output uses 17-significant-digit scientific notation and contains
 no timestamps, so reruns are byte-identical.  ``curve`` and ``neutral`` run
 the library sweeps ``reynolds_curve`` and ``neutral_sweep`` one Hartmann
 number after another; a point that fails to solve is printed as NaN and the
-remaining points are still computed.
+remaining points are still computed.  Warnings of the library (a point
+or a whole Hartmann number that failed) reach stderr through one logging
+handler, prefixed ``mhdes: warning:`` like the command's own messages.
 
 Exit codes: 0 success, 2 usage or parameter problems, 3 numerical solver
 failures (including any NaN row of ``curve`` or ``neutral``), 4 failed
@@ -18,6 +20,7 @@ verification.
 import argparse
 import dataclasses
 import json
+import logging
 import sys
 from dataclasses import dataclass
 
@@ -42,6 +45,16 @@ VERIFY_DECAY_FIELDS = 10
 VERIFY_FD_M = 300
 VERIFY_FD_RTOL = 5e-3
 RATIO_IDENT_RTOL = 1e-8
+
+log = logging.getLogger(__name__)
+
+
+class _StderrHandler(logging.Handler):
+    """Writes records to the current sys.stderr with the mhdes: prefix."""
+
+    def emit(self, record):
+        print(f"mhdes: {record.levelname.lower()}: {record.getMessage()}",
+              file=sys.stderr)
 
 
 @dataclass(frozen=True)
@@ -183,8 +196,8 @@ def cmd_curve(config):
         try:
             curve = reynolds_curve(params, grid, N=config.N)
         except NumericalError as exc:
-            print(f"mhdes: warning: curve Ha={Ha:g} failed: {exc}",
-                  file=sys.stderr)
+            log.warning("%s Ha=%g Pm=%g: curve failed: %s", config.flow, Ha,
+                        config.Pm, exc)
             curve = [(float(a), float("nan")) for a in grid]
         rows += [[config.flow, Ha, config.Pm, a, re_a] for a, re_a in curve]
     _emit_table(config.output_path, config.format, CURVE_HEADER, rows)
@@ -342,6 +355,9 @@ def _merge_config(args):
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    package_log = logging.getLogger("mhdes")
+    handler = _StderrHandler(logging.WARNING)
+    package_log.addHandler(handler)
     try:
         cfg = _merge_config(args)
         if args.command == "profile":
@@ -365,6 +381,8 @@ def main(argv=None):
     except MhdesError as exc:
         print(f"mhdes: error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        package_log.removeHandler(handler)
 
 
 if __name__ == "__main__":

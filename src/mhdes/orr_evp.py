@@ -43,20 +43,26 @@ from .spectral import ClampedMaps, SpectralOperator, build_operator, clamped_res
 
 log = logging.getLogger(__name__)
 
+# relative shift above the top eigenvalue of Y^T Y for inverse iteration:
+# far above its rounding error, far below the gap to the next eigenvalue
+INVERSE_SHIFT = 1e-10
+
 
 @dataclass(frozen=True, eq=False)
 class EvpPencil:
     """Assembled generalized eigenproblem Lmat q + 2 m Mmat q = 0.
 
     Lmat is Hermitian and purely imaginary; Mmat is real symmetric
-    positive definite (the magnetic block carries the Ha^2 weight).  hydro
-    marks the single-field reduction used below HA_FLOOR; maps is kept so
-    solutions can be injected back onto the full grid.
+    positive definite (the magnetic block carries the Ha^2 weight), and
+    dMmat is its derivative with respect to a.  hydro marks the
+    single-field reduction used below HA_FLOOR; maps is kept so solutions
+    can be injected back onto the full grid.
     """
 
     a: float
     Lmat: np.ndarray
     Mmat: np.ndarray
+    dMmat: np.ndarray
     params: Params
     N: int
     hydro: bool
@@ -65,11 +71,12 @@ class EvpPencil:
 
 @dataclass(frozen=True, eq=False)
 class EvpSolution:
-    """Largest eigenvalue m, the threshold Re_a = 1/m, the full-grid
-    eigenfields, and the pencil residual of the returned pair with the
-    eigenvector at unit 2-norm."""
+    """Largest eigenvalue m, its slope dm/da, the threshold Re_a = 1/m,
+    the full-grid eigenfields, and the pencil residual of the returned
+    pair with the eigenvector at unit 2-norm."""
 
     m: float
+    dm_da: float
     Re_a: float
     w_hat: np.ndarray
     l_hat: np.ndarray
@@ -86,25 +93,27 @@ def _production_forms(sample, qw, maps):
 
 
 def _energy_form(a, qw, maps):
-    """Weak (D^2 - a^2)^2 form on the clamped basis, symmetrized."""
+    """Weak (D^2 - a^2)^2 form S on the clamped basis and its derivative
+    dS/da, both symmetrized."""
     R = maps.inject
     G1 = maps.basis_d1
     G2 = maps.basis_d2
-    S = (G2.T @ (qw[:, None] * G2)
-         + 2.0 * a * a * (G1.T @ (qw[:, None] * G1))
-         + a**4 * (R.T @ (qw[:, None] * R)))
-    return 0.5 * (S + S.T)
+    Q1 = G1.T @ (qw[:, None] * G1)
+    Q0 = R.T @ (qw[:, None] * R)
+    S = G2.T @ (qw[:, None] * G2) + 2.0 * a * a * Q1 + a**4 * Q0
+    dS = 4.0 * a * Q1 + 4.0 * a**3 * Q0
+    return 0.5 * (S + S.T), 0.5 * (dS + dS.T)
 
 
 def _blocks(sample, a, qw, maps, A, Ha, coupled):
-    """Assemble (Lmat, Mmat) from the quadratic forms; A may be overridden
-    (e.g. set to zero) to probe the decoupling structure."""
+    """Assemble (Lmat, Mmat, dMmat) from the quadratic forms; A may be
+    overridden (e.g. set to zero) to probe the decoupling structure."""
     K_U, K_B = _production_forms(sample, qw, maps)
-    S = _energy_form(a, qw, maps)
+    S, dS = _energy_form(a, qw, maps)
     T = -1j * a * (K_U - K_U.T)
     nm = S.shape[0]
     if not coupled:
-        return T, S
+        return T, S, dS
     L = np.zeros((2 * nm, 2 * nm), dtype=complex)
     L[:nm, :nm] = T
     L[nm:, nm:] = -A * T
@@ -114,16 +123,19 @@ def _blocks(sample, a, qw, maps, A, Ha, coupled):
     M = np.zeros((2 * nm, 2 * nm))
     M[:nm, :nm] = S
     M[nm:, nm:] = Ha * Ha * S
-    return L, M
+    dM = np.zeros((2 * nm, 2 * nm))
+    dM[:nm, :nm] = dS
+    dM[nm:, nm:] = Ha * Ha * dS
+    return L, M, dM
 
 
 def _assemble(params, a, op, sample, maps, force_coupled=False):
     """Signed-wavenumber assembly without the a > 0 domain check."""
     coupled = force_coupled or params.Ha >= HA_FLOOR
-    Lmat, Mmat = _blocks(sample, a, op.qweights, maps, params.A, params.Ha,
-                         coupled)
-    return EvpPencil(a=float(a), Lmat=Lmat, Mmat=Mmat, params=params,
-                     N=op.N, hydro=not coupled, maps=maps)
+    Lmat, Mmat, dMmat = _blocks(sample, a, op.qweights, maps, params.A,
+                                params.Ha, coupled)
+    return EvpPencil(a=float(a), Lmat=Lmat, Mmat=Mmat, dMmat=dMmat,
+                     params=params, N=op.N, hydro=not coupled, maps=maps)
 
 
 def assemble_pencil(params, a, op, sample, maps=None, force_coupled=False):
@@ -149,7 +161,7 @@ def assemble_pencil(params, a, op, sample, maps=None, force_coupled=False):
 
 
 def solve_max_m(pencil):
-    """Largest eigenvalue of the assembled pencil.
+    """Largest eigenvalue of the assembled pencil and its slope in a.
 
     The pencil is self-adjoint and real up to a factor i: Lmat is purely
     imaginary Hermitian, so -Lmat/2 = i K with K real antisymmetric, and
@@ -157,9 +169,15 @@ def solve_max_m(pencil):
     problem (-Lmat/2) q = m Mmat q becomes i Y v = m v for the real
     antisymmetric Y = c^-1 K c^-T and q = c^-T v.  The top eigenvalue m is
     the largest singular value of Y, the square root of the top eigenvalue
-    of Y^T Y; for its unit eigenvector w, v = w + i Y w / m.  The solve
-    runs in real arithmetic through NumPy alone, so the hot path of a
-    sweep never alternates between two BLAS libraries.
+    of Y^T Y.  That eigenvalue is double, and every unit vector w of its
+    eigenspace gives the same q up to a phase through v = w + i Y w / m;
+    one such w comes from two steps of inverse iteration shifted just
+    above it, so only eigenvalues are ever decomposed.  The solve runs in
+    real arithmetic through NumPy alone, so the hot path of a sweep never
+    alternates between two BLAS libraries.
+
+    Lmat is linear in a, so the Hellmann-Feynman slope reduces to
+    dm/da = m/a - m q^H dMmat q / q^H Mmat q.
 
     The eigenvector is scaled to unit 2-norm before it is injected back
     onto the full grid, and the residual is taken on the complex pencil.
@@ -185,27 +203,35 @@ def solve_max_m(pencil):
     ci = np.linalg.inv(c)
     Y = ci @ K @ ci.T
     Y = 0.5 * (Y - Y.T)
-    lam, W = np.linalg.eigh(Y.T @ Y)
-    m = float(np.sqrt(max(lam[-1], 0.0)))
+    YtY = Y.T @ Y
+    top = np.linalg.eigvalsh(YtY)[-1]
+    m = float(np.sqrt(max(top, 0.0)))
     if not m > 0:
         raise NumericalError(
             f"largest eigenvalue is non-positive ({m:g}); the growth "
             "ratio must be positive for the supported base states")
+    shifted = YtY - (1.0 + INVERSE_SHIFT) * top * np.eye(YtY.shape[0])
+    # a fixed start vector, free of the grid's reflection symmetry
+    w = np.cos(np.arange(YtY.shape[0]))
+    for _ in range(2):
+        w = np.linalg.solve(shifted, w)
+        w /= np.linalg.norm(w)
     # solving with c.T keeps the residual at the level of a generalized
     # Hermitian solve; multiplying by ci.T raises it to 1e-8 at N = 101
-    w = W[:, -1]
     qr, qi = np.linalg.solve(c.T, np.column_stack((w, (Y @ w) / m))).T
     q = qr + 1j * qi
     q /= np.linalg.norm(q)
     residual = float(np.linalg.norm(L @ q + 2.0 * m * (M @ q)))
+    dm_da = m / pencil.a - m * (np.vdot(q, pencil.dMmat @ q).real
+                                / np.vdot(q, M @ q).real)
     nm = pencil.maps.inject.shape[1]
     w_hat = pencil.maps.inject @ q[:nm]
     if pencil.hydro:
         l_hat = np.zeros_like(w_hat)
     else:
         l_hat = pencil.maps.inject @ q[nm:]
-    return EvpSolution(m=m, Re_a=1.0 / m, w_hat=w_hat, l_hat=l_hat,
-                       residual=residual)
+    return EvpSolution(m=m, dm_da=float(dm_da), Re_a=1.0 / m, w_hat=w_hat,
+                       l_hat=l_hat, residual=residual)
 
 
 def reynolds_curve(params, a_grid, N=60):

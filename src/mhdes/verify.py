@@ -15,9 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import numpy.polynomial.chebyshev as ncheb
-import scipy.linalg as sla
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .baseflow import HA_FLOOR, BaseFlowSample, check_sample, profile_for
 from .errors import ConsistencyError, ParameterError, VerificationError
@@ -256,6 +253,8 @@ def poincare_check(field, op):
 # ---------------------------------------------------------------------------
 # Finite-difference oracle
 # ---------------------------------------------------------------------------
+# SciPy is imported inside the two FD helpers, its only users, so importing
+# mhdes or running the spectral solver never loads it.
 
 def _fd_matrices(params, a, M):
     """Uniform-grid FD pencil (-L/2, M) with clamped walls via ghost points.
@@ -264,6 +263,8 @@ def _fd_matrices(params, a, M):
     i a (U' D + D U'), which is the same operator after integration by
     parts and keeps the discrete matrix exactly Hermitian.
     """
+    import scipy.sparse as sp
+
     h = 2.0 / (M + 1)
     z = -1.0 + h * np.arange(1, M + 1)
     smp = profile_for(params, z)
@@ -309,6 +310,9 @@ def _fd_max_m(params, a, M):
     polished by an exact Rayleigh quotient of the sparse matrices (the
     factorization alone degrades as the mass matrix norm grows like h^-4).
     """
+    import scipy.linalg as sla
+    import scipy.sparse.linalg as spla
+
     Lh, Mm = _fd_matrices(params, a, M)
     n = Lh.shape[0]
     if n <= FD_DENSE_LIMIT:

@@ -18,15 +18,19 @@ from mhdes.cli import (CURVE_HEADER, NEUTRAL_HEADER, PROFILE_HEADER,
 from mhdes.errors import NumericalError
 
 
-def run_cli(*args):
+def run_python(*args):
     # the child imports the same mhdes as this process, whether or not
     # PYTHONPATH names the source tree
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(os.path.abspath(mhdes.__file__)))
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, "-m", "mhdes", *args],
+    return subprocess.run([sys.executable, *args],
                           capture_output=True, text=True, env=env)
+
+
+def run_cli(*args):
+    return run_python("-m", "mhdes", *args)
 
 
 def parse_csv(text):
@@ -248,6 +252,57 @@ def test_failed_points_print_nan_and_exit_three(monkeypatch, capsys, caplog):
                     if r.levelno == logging.WARNING]
         assert len(warnings) == 1
         assert warnings[0].startswith(tag) and "injected failure" in warnings[0]
+
+
+def test_failed_hartmann_number_warns_once_with_prefix(monkeypatch, capsys):
+    # neutral and curve report a wholly failed Ha through the same channel
+    # and prefix, and repeated in-process runs do not stack handlers
+    cases = (
+        (("neutral", "--ha", "0.5", "1", "--n", "20"), critical,
+         "threshold search failed"),
+        (("curve", "--ha", "0.5", "1", "--a-points", "3", "--n", "20"),
+         orr_evp, "curve failed"),
+    )
+    for args, module, what in cases:
+        solve = module.solve_max_m
+
+        def patched(pencil, solve=solve):
+            if pencil.params.Ha == 1.0:
+                raise NumericalError("injected failure")
+            return solve(pencil)
+
+        outs = []
+        with monkeypatch.context() as mp:
+            mp.setattr(module, "solve_max_m", patched)
+            for _ in range(2):
+                assert cli.main(list(args)) == 3
+                captured = capsys.readouterr()
+                outs.append(captured.out)
+                err = captured.err.splitlines()
+                assert all(line.startswith("mhdes: ") for line in err)
+                warnings = [line for line in err
+                            if line.startswith("mhdes: warning: ")]
+                assert len(warnings) == 1
+                assert warnings[0].startswith(
+                    f"mhdes: warning: couette Ha=1 Pm=0.1: {what}: ")
+                assert "injected failure" in warnings[0]
+        assert outs[0] == outs[1]
+
+
+def test_solver_commands_never_import_scipy():
+    # SciPy serves only the verify layer's finite-difference oracle
+    code = "\n".join((
+        "import sys",
+        "from mhdes import Params, cli, minimize_over_a",
+        "for cmd in ('profile', 'curve', 'neutral'):",
+        "    assert cli.main([cmd, '--ha', '1', '--a-points', '3',",
+        "                     '--n', '20', '--out', sys.argv[1]]) == 0",
+        "minimize_over_a(Params(flow='hartmann', Ha=1.0, Pm=0.1), N=20)",
+        "loaded = sorted(m for m in sys.modules if m.startswith('scipy'))",
+        "assert not loaded, loaded",
+    ))
+    proc = run_python("-c", code, os.devnull)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_float_formatting():

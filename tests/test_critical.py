@@ -3,13 +3,19 @@
 import numpy as np
 import pytest
 
-from mhdes import Params, minimize_over_a, neutral_sweep, solve_max_m
+from mhdes import (Params, critical, minimize_over_a, neutral_sweep,
+                   solve_max_m)
+from mhdes.critical import A_TOL
 from mhdes.errors import ParameterError
 
 # oracle values from a finite-difference Richardson scan minimized on a
 # dense wavenumber grid (vanishing-coupling limit)
 HYDRO_WALL = (1.8934, 44.3035)
 HYDRO_PRESSURE = (2.0986, 87.5937)
+
+# (a_crit, Re_E) of couette, Ha = 1, Pm = 0.1, N = 50 on [0.2, 30], frozen
+# from the golden-section search that the slope-driven refinement replaced
+GOLDEN_COUETTE_HA1 = (1.8962703547092798, 49.661215981990146)
 
 
 @pytest.fixture(scope="module")
@@ -53,6 +59,23 @@ def test_edge_minimum_flagged_not_converged(wb):
     pt = minimize_over_a(wb.params("couette", 1.0), 0.2, 1.0, N=50)
     assert not pt.converged
     assert pt.a_crit == 1.0
+
+
+def test_slope_refinement_costs_few_solves(wb, monkeypatch):
+    calls = []
+
+    def counted(pencil):
+        calls.append(pencil.a)
+        return solve_max_m(pencil)
+
+    monkeypatch.setattr(critical, "solve_max_m", counted)
+    pt = minimize_over_a(wb.params("couette", 1.0), 0.2, 30.0, N=50,
+                         coarse_points=40)
+    assert pt.converged
+    assert len(calls) <= 40 + 8
+    a_ref, re_ref = GOLDEN_COUETTE_HA1
+    assert abs(pt.Re_E - re_ref) <= 1e-9 * re_ref
+    assert abs(pt.a_crit - a_ref) <= 2 * A_TOL
 
 
 def test_refined_value_never_worse_than_coarse_scan(wb):

@@ -72,11 +72,12 @@ def test_zero_coupling_strength_decouples_magnetic_field(wb):
     op = wb.op(40)
     mp = wb.maps(40)
     sample = wb.sample("couette", 1.0, 40)
-    L, M = _blocks(sample, 1.2, op.qweights, mp, 0.0, 1.0, coupled=True)
+    L, M, dM = _blocks(sample, 1.2, op.qweights, mp, 0.0, 1.0, coupled=True)
     nm = mp.inject.shape[1]
     assert not np.any(L[:nm, nm:]) and not np.any(L[nm:, :nm])
-    pen = EvpPencil(a=1.2, Lmat=L, Mmat=M, params=wb.params("couette", 1.0),
-                    N=40, hydro=False, maps=mp)
+    pen = EvpPencil(a=1.2, Lmat=L, Mmat=M, dMmat=dM,
+                    params=wb.params("couette", 1.0), N=40, hydro=False,
+                    maps=mp)
     sol = mhdes.solve_max_m(pen)
     assert np.max(np.abs(sol.l_hat)) <= 1e-10 * np.max(np.abs(sol.w_hat))
 
@@ -88,6 +89,20 @@ def test_solve_properties(wb):
         assert sol.Re_a == 1.0 / sol.m
         assert sol.residual <= 1e-8
         assert sol.w_hat[0] == 0.0 and sol.w_hat[-1] == 0.0
+
+
+@pytest.mark.parametrize("flow", ["couette", "hartmann"])
+@pytest.mark.parametrize("Ha", [1e-6, 10.0, 300.0])
+def test_slope_matches_central_difference(wb, flow, Ha):
+    # the Hellmann-Feynman slope the minimizer follows, against a central
+    # difference of m; Ha = 1e-6 takes the single-field path
+    for a in (0.5, 1.2, 5.0, 20.0):
+        sol = wb.solution(flow, Ha, a)
+        assert wb.pencil(flow, Ha, a).hydro == (Ha < 1e-4)
+        h = 1e-4 * a
+        fd = (wb.solution(flow, Ha, a + h).m
+              - wb.solution(flow, Ha, a - h).m) / (2.0 * h)
+        assert abs(sol.dm_da - fd) <= 1e-6 * abs(fd)
 
 
 @pytest.mark.parametrize("flow,Ha", sorted(M_ANCHORS))
@@ -207,7 +222,7 @@ def test_solve_rejects_non_hermitian_or_indefinite_pencil(wb):
     Xr = X.real
 
     def pencil(L, M):
-        return EvpPencil(a=1.0, Lmat=L, Mmat=M,
+        return EvpPencil(a=1.0, Lmat=L, Mmat=M, dMmat=np.zeros((n, n)),
                          params=wb.params("couette", 1.0), N=13, hydro=True,
                          maps=wb.maps(13))
 
