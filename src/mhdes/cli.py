@@ -25,7 +25,6 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-import numpy.polynomial.chebyshev as ncheb
 
 from .baseflow import Params, profile_for
 from .critical import neutral_sweep
@@ -33,8 +32,9 @@ from .errors import (ConsistencyError, MhdesError, NumericalError,
                      ParameterError, VerificationError)
 from .orr_evp import assemble_pencil, reynolds_curve, solve_max_m
 from .spectral import N_MAX, N_MIN, build_operator, clamped_restrict
-from .verify import (decay_check, energy_ratio, fd_oracle, make_trial_field,
-                     poincare_check, random_trial_bound)
+from .verify import (_decay_terms, _random_clamped_fields, decay_check,
+                     energy_ratio, fd_oracle, make_trial_field, poincare_check,
+                     random_trial_bound)
 
 PROFILE_HEADER = ("z", "U", "Uprime", "Usecond", "Bbar", "Bprime", "Bsecond")
 CURVE_HEADER = ("flow", "Ha", "Pm", "a", "Re")
@@ -207,7 +207,8 @@ def cmd_curve(config):
 def cmd_neutral(config):
     """Locate the threshold minimum per Hartmann number."""
     points = neutral_sweep(config.flow, config.Ha_list, config.Pm,
-                           a_window=(config.a_min, config.a_max), N=config.N)
+                           a_window=(config.a_min, config.a_max), N=config.N,
+                           coarse_points=config.a_points)
     rows = [[p.flow, p.Ha, p.Pm, p.a_crit, p.Re_E, p.N_used, p.converged]
             for p in points]
     _emit_table(config.output_path, config.format, NEUTRAL_HEADER, rows)
@@ -215,6 +216,7 @@ def cmd_neutral(config):
 
 
 def _verify_point(config, Ha, perturb_m_rel):
+    """Spectral-side checks at one Ha: params, a, m and the checks dict."""
     params = Params(flow=config.flow, Ha=Ha, Pm=config.Pm)
     op = build_operator(config.N)
     sample = profile_for(params, op.nodes)
@@ -242,32 +244,26 @@ def _verify_point(config, Ha, perturb_m_rel):
 
     Re_E_a = 1.0 / sol.m
     dc = decay_check(field, params, 0.5 * Re_E_a, Re_E_a, sample, op)
-    ok_decay = dc.satisfied and dc.dEdt < 0
-    rng = np.random.default_rng(config.seed + 1)
-    x = op.nodes
-    env = (1.0 - x * x) ** 2
-    nm = config.N - 3
-    for _ in range(VERIFY_DECAY_FIELDS):
-        wf = env * ncheb.chebval(x, rng.standard_normal(nm) + 1j * rng.standard_normal(nm))
-        lf = env * ncheb.chebval(x, rng.standard_normal(nm) + 1j * rng.standard_normal(nm))
-        f = make_trial_field(a, wf, lf, op)
-        d = decay_check(f, params, 0.5 * Re_E_a, Re_E_a, sample, op)
-        ok_decay = ok_decay and d.satisfied and d.dEdt < 0
+    _, _, fields = _random_clamped_fields(
+        np.random.default_rng(config.seed + 1), VERIFY_DECAY_FIELDS, a, op)
+    dEdt, bound = _decay_terms(fields, params, 0.5 * Re_E_a, Re_E_a, sample,
+                               op)
+    ok_decay = (dc.satisfied and dc.dEdt < 0
+                and bool(np.all((dEdt <= bound) & (dEdt < 0))))
     checks["decay_below_threshold"] = {"passed": bool(ok_decay),
                                        "eig_margin": dc.margin}
 
     pc = poincare_check(field, op)
     checks["poincare"] = {"passed": bool(pc.satisfied),
                           "ratios": {k: v["ratio"] for k, v in pc.ratios.items()}}
+    return params, a, sol.m, checks
 
+
+def _fd_check(params, a, m):
     m_fd = fd_oracle(params, a, M=VERIFY_FD_M)
-    rel = abs(m_fd - sol.m) / sol.m
-    checks["fd_oracle"] = {"passed": bool(rel <= VERIFY_FD_RTOL),
-                           "m_fd": m_fd, "m_spectral": sol.m, "rel_dev": rel}
-
-    passed = all(c["passed"] for c in checks.values())
-    return {"Ha": float(Ha), "a": float(a), "m": sol.m, "passed": passed,
-            "checks": checks}
+    rel = abs(m_fd - m) / m
+    return {"passed": bool(rel <= VERIFY_FD_RTOL), "m_fd": m_fd,
+            "m_spectral": m, "rel_dev": rel}
 
 
 def cmd_verify(config, perturb_m_rel=0.0):
@@ -277,7 +273,17 @@ def cmd_verify(config, perturb_m_rel=0.0):
     perturbation hook offsets the claimed ratio before checking and exists
     so the failure path itself can be exercised end to end.
     """
-    points = [_verify_point(config, Ha, perturb_m_rel) for Ha in config.Ha_list]
+    # every spectral-side check first, then every FD oracle: NumPy and
+    # SciPy each bundle an OpenBLAS with its own worker pool, and handing
+    # the cores from one pool to the other at every point stalls both
+    spectral = [_verify_point(config, Ha, perturb_m_rel)
+                for Ha in config.Ha_list]
+    points = []
+    for Ha, (params, a, m, checks) in zip(config.Ha_list, spectral):
+        checks["fd_oracle"] = _fd_check(params, a, m)
+        points.append({"Ha": float(Ha), "a": float(a), "m": m,
+                       "passed": all(c["passed"] for c in checks.values()),
+                       "checks": checks})
     passed = all(p["passed"] for p in points)
     report = {"flow": config.flow, "Pm": config.Pm, "N": config.N,
               "seed": config.seed, "perturb_m_rel": perturb_m_rel,

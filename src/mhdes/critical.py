@@ -141,8 +141,11 @@ def minimize_over_a(params, a_min=0.2, a_max=4.0, N=60, coarse_points=40):
     return point(best_a, best_re, converged=True)
 
 
-def neutral_sweep(flow, Ha_list, Pm, a_window=(0.2, 4.0), N=60):
+def neutral_sweep(flow, Ha_list, Pm, a_window=(0.2, 4.0), N=60,
+                  coarse_points=40):
     """Threshold points for each Hartmann number in Ha_list, input order.
+
+    Each point is a minimize_over_a search with coarse_points scan points.
 
     A parameter point whose search fails numerically is logged once and
     yields a NaN point flagged converged=False so the remaining sweep still
@@ -158,7 +161,8 @@ def neutral_sweep(flow, Ha_list, Pm, a_window=(0.2, 4.0), N=60):
     for Ha in Ha_arr:
         params = Params(flow=flow, Ha=float(Ha), Pm=Pm)
         try:
-            out.append(minimize_over_a(params, a_min=a_min, a_max=a_max, N=N))
+            out.append(minimize_over_a(params, a_min=a_min, a_max=a_max, N=N,
+                                       coarse_points=coarse_points))
         except NumericalError as exc:
             log.warning("%s Ha=%g Pm=%g: threshold search failed: %s",
                         flow, Ha, Pm, exc)

@@ -17,7 +17,8 @@ import numpy as np
 import numpy.polynomial.chebyshev as ncheb
 
 from .baseflow import HA_FLOOR, BaseFlowSample, check_sample, profile_for
-from .errors import ConsistencyError, ParameterError, VerificationError
+from .errors import (ConsistencyError, NumericalError, ParameterError,
+                     VerificationError)
 from .spectral import SpectralOperator, build_operator
 
 log = logging.getLogger(__name__)
@@ -35,7 +36,8 @@ _FD_SEED = 12345
 class TrialField:
     """One spanwise Fourier mode of a kinematically admissible disturbance:
     wall-normal velocity w_hat and magnetic l_hat with their in-plane
-    companions u_hat = (i/a) w_hat' and h_hat = (i/a) l_hat'."""
+    companions u_hat = (i/a) w_hat' and h_hat = (i/a) l_hat'.  The batched
+    random trials hold one such field per row of each array."""
 
     a: float
     w_hat: np.ndarray
@@ -90,10 +92,39 @@ def make_trial_field(a, w_hat, l_hat, op):
     l_hat = np.asarray(l_hat, dtype=complex)
     if w_hat.shape != op.nodes.shape or l_hat.shape != op.nodes.shape:
         raise ConsistencyError("field arrays must match the operator nodes")
-    u_hat = (1j / a) * (op.D1 @ w_hat)
-    h_hat = (1j / a) * (op.D1 @ l_hat)
-    return TrialField(a=float(a), w_hat=w_hat, l_hat=l_hat, u_hat=u_hat,
-                      h_hat=h_hat)
+    return _complete(a, w_hat, l_hat, op)
+
+
+def _ddz(f, op):
+    """Collocation derivative of one field or of each row of a batch; a
+    single field keeps the arithmetic of the matrix-vector product."""
+    return (op.D1 @ f.T).T
+
+
+def _complete(a, w_hat, l_hat, op):
+    """TrialField of one field, or of a batch with one field per row."""
+    return TrialField(a=float(a), w_hat=w_hat, l_hat=l_hat,
+                      u_hat=(1j / a) * _ddz(w_hat, op),
+                      h_hat=(1j / a) * _ddz(l_hat, op))
+
+
+def _random_clamped_fields(rng, count, a, op):
+    """count seeded random clamped fields as one batched TrialField.
+
+    Each field is (1 - z^2)^2 times Chebyshev series of degree op.N - 4
+    with standard complex Gaussian coefficients for w and l.  The draws are
+    one (count, 4, N - 3) block, the same stream as drawing Re w, Im w,
+    Re l, Im l field after field.  Returns the w and l coefficients (one
+    row per field) and the field batch.
+    """
+    x = op.nodes
+    z = rng.standard_normal((count, 4, op.N - 3))
+    cw = z[:, 0] + 1j * z[:, 1]
+    cl = z[:, 2] + 1j * z[:, 3]
+    env = (1.0 - x * x) ** 2
+    field = _complete(a, env * ncheb.chebval(x, cw.T),
+                      env * ncheb.chebval(x, cl.T), op)
+    return cw, cl, field
 
 
 def _check_bundle(field, params, sample, op):
@@ -106,6 +137,40 @@ def _check_bundle(field, params, sample, op):
         raise ConsistencyError("field arrays do not match the operator nodes")
 
 
+def _functionals(field, params, sample, op):
+    """Production I, primary dissipation D1 and energy E of a field, or of
+    a batch of fields with one per row (then each is an array over rows).
+
+    Clenshaw-Curtis quadratures of nodal values with raw collocation
+    derivatives; raises ParameterError for a field with zero dissipation.
+    """
+    a = field.a
+    w = op.qweights
+
+    def ip(f, g):
+        return np.real(np.sum(w * f * np.conj(g), axis=-1))
+
+    def gradsq(f):
+        return np.sum(w * (np.abs(_ddz(f, op)) ** 2 + a * a * np.abs(f) ** 2),
+                      axis=-1)
+
+    u, wf, h, lf = field.u_hat, field.w_hat, field.h_hat, field.l_hat
+    A = params.A
+    prod = -ip(sample.Uprime * wf, u)
+    if A != 0.0:
+        prod += A * (ip(sample.Bprime * lf, u) - ip(sample.Bprime * wf, h)
+                     + ip(sample.Uprime * lf, h))
+    Ha = params.Ha
+    diss1 = gradsq(u) + gradsq(wf) + Ha * Ha * (gradsq(h) + gradsq(lf))
+    if np.any(diss1 <= 0.0):
+        raise ParameterError("trial field has zero dissipation; the ratio "
+                             "is undefined for the zero field")
+    energy = 0.5 * (np.sum(w * (np.abs(u) ** 2 + np.abs(wf) ** 2), axis=-1)
+                    + A * np.sum(w * (np.abs(h) ** 2 + np.abs(lf) ** 2),
+                                 axis=-1))
+    return prod, diss1, energy
+
+
 def energy_ratio(field, params, sample, op, Re=None):
     """Energy production, dissipation, and their ratio for a trial field.
 
@@ -116,38 +181,19 @@ def energy_ratio(field, params, sample, op, Re=None):
     evaluates dEdt = I - D/Re.
     """
     _check_bundle(field, params, sample, op)
-    a = field.a
-    w = op.qweights
-    D1m = op.D1
-
-    def ip(f, g):
-        return float(np.real(np.sum(w * f * np.conj(g))))
-
-    def gradsq(f):
-        df = D1m @ f
-        return float(np.sum(w * (np.abs(df) ** 2 + a * a * np.abs(f) ** 2)))
-
-    u, wf, h, lf = field.u_hat, field.w_hat, field.h_hat, field.l_hat
-    A = params.A
-    prod = -ip(sample.Uprime * wf, u)
-    if A != 0.0:
-        prod += A * (ip(sample.Bprime * lf, u) - ip(sample.Bprime * wf, h)
-                     + ip(sample.Uprime * lf, h))
-    Ha = params.Ha
-    diss1 = gradsq(u) + gradsq(wf) + Ha * Ha * (gradsq(h) + gradsq(lf))
-    diss = diss1
-    if diss1 <= 0.0:
-        raise ParameterError("trial field has zero dissipation; the ratio "
-                             "is undefined for the zero field")
-    energy = 0.5 * (float(np.sum(w * (np.abs(u) ** 2 + np.abs(wf) ** 2)))
-                    + A * float(np.sum(w * (np.abs(h) ** 2 + np.abs(lf) ** 2))))
+    prod, diss1, energy = (float(v) for v in
+                           _functionals(field, params, sample, op))
     dEdt = None
     if Re is not None:
-        if not np.isfinite(Re) or Re <= 0:
-            raise ParameterError(f"Re must be finite and > 0, got {Re}")
-        dEdt = prod - diss / Re
-    return EnergyBreakdown(I=prod, D1=diss1, D=diss, ratio=prod / diss1,
+        _check_reynolds(Re)
+        dEdt = prod - diss1 / Re
+    return EnergyBreakdown(I=prod, D1=diss1, D=diss1, ratio=prod / diss1,
                            E=energy, dEdt=dEdt)
+
+
+def _check_reynolds(Re):
+    if not np.isfinite(Re) or Re <= 0:
+        raise ParameterError(f"Re must be finite and > 0, got {Re}")
 
 
 def _serialize_pair(cw, cl):
@@ -163,10 +209,11 @@ def random_trial_bound(params, a, m_claimed, trials=1000, seed=0, N=60,
     with standard complex Gaussian coefficients, for both the velocity and
     magnetic components.  Fields passed in inject (TrialField instances,
     e.g. a solved eigenvector) are evaluated before the random trials and
-    reported with negative 1-based indices.  Any trial whose ratio exceeds
-    m_claimed by more than a factor (1 + 1e-6) raises VerificationError
-    carrying a falsification report with the offending field; otherwise
-    the maximum ratio and its gap to the claim are returned.
+    reported with negative 1-based indices.  The first trial whose ratio
+    exceeds m_claimed by more than a factor (1 + 1e-6) raises
+    VerificationError carrying a falsification report with the offending
+    field; otherwise the maximum ratio and its gap to the claim are
+    returned.  The random trials are drawn and evaluated as one batch.
     """
     if not np.isfinite(m_claimed) or m_claimed <= 0:
         raise ParameterError(f"m_claimed must be finite and > 0, got {m_claimed}")
@@ -174,40 +221,38 @@ def random_trial_bound(params, a, m_claimed, trials=1000, seed=0, N=60,
         raise ParameterError("trials must be >= 1")
     op = build_operator(N)
     sample = profile_for(params, op.nodes)
-    x = op.nodes
-    envelope = (1.0 - x * x) ** 2
-    nm = N - 3
-    rng = np.random.default_rng(seed)
+    limit = m_claimed * (1.0 + TRIAL_RTOL)
+
+    def falsified(index, ratio, cw, cl):
+        report = {
+            "params": {"flow": params.flow, "Ha": params.Ha,
+                       "Pm": params.Pm, "A": params.A},
+            "a": float(a),
+            "seed": int(seed),
+            "trial_index": int(index),
+            "ratio": float(ratio),
+            "m_claimed": float(m_claimed),
+            "field_coefficients": _serialize_pair(cw, cl),
+        }
+        return VerificationError(
+            f"trial {index} reached ratio {ratio:.6e} above the claimed "
+            f"maximum {m_claimed:.6e}", report)
+
     max_ratio = -math.inf
-
-    def check(field, index, coeffs):
-        nonlocal max_ratio
-        ratio = energy_ratio(field, params, sample, op).ratio
-        if ratio > max_ratio:
-            max_ratio = ratio
-        if ratio > m_claimed * (1.0 + TRIAL_RTOL):
-            report = {
-                "params": {"flow": params.flow, "Ha": params.Ha,
-                           "Pm": params.Pm, "A": params.A},
-                "a": float(a),
-                "seed": int(seed),
-                "trial_index": int(index),
-                "ratio": float(ratio),
-                "m_claimed": float(m_claimed),
-                "field_coefficients": coeffs,
-            }
-            raise VerificationError(
-                f"trial {index} reached ratio {ratio:.6e} above the claimed "
-                f"maximum {m_claimed:.6e}", report)
-
     for k, field in enumerate(inject):
-        check(field, -(k + 1), _serialize_pair(field.w_hat, field.l_hat))
-    for t in range(int(trials)):
-        cw = rng.standard_normal(nm) + 1j * rng.standard_normal(nm)
-        cl = rng.standard_normal(nm) + 1j * rng.standard_normal(nm)
-        wf = envelope * ncheb.chebval(x, cw)
-        lf = envelope * ncheb.chebval(x, cl)
-        check(make_trial_field(a, wf, lf, op), t, _serialize_pair(cw, cl))
+        ratio = energy_ratio(field, params, sample, op).ratio
+        max_ratio = max(max_ratio, ratio)
+        if ratio > limit:
+            raise falsified(-(k + 1), ratio, field.w_hat, field.l_hat)
+    cw, cl, fields = _random_clamped_fields(np.random.default_rng(seed),
+                                            int(trials), a, op)
+    prod, diss1, _ = _functionals(fields, params, sample, op)
+    ratios = prod / diss1
+    over = np.flatnonzero(ratios > limit)
+    if over.size:
+        t = int(over[0])
+        raise falsified(t, ratios[t], cw[t], cl[t])
+    max_ratio = max(max_ratio, float(np.max(ratios)))
     return {"max_ratio": float(max_ratio),
             "gap": float(m_claimed - max_ratio),
             "m_claimed": float(m_claimed),
@@ -215,18 +260,28 @@ def random_trial_bound(params, a, m_claimed, trials=1000, seed=0, N=60,
             "seed": int(seed)}
 
 
+def _decay_terms(field, params, Re, Re_E, sample, op):
+    """dEdt and the decay bound (1/Re_E - 1/Re) D + 1e-10 |D| of a field,
+    or of a batch of fields (then arrays over rows)."""
+    if not np.isfinite(Re_E) or Re_E <= 0:
+        raise ParameterError(f"Re_E must be finite and > 0, got {Re_E}")
+    _check_reynolds(Re)
+    prod, diss, _ = _functionals(field, params, sample, op)
+    dEdt = prod - diss / Re
+    bound = (1.0 / Re_E - 1.0 / Re) * diss + DECAY_SLACK * np.abs(diss)
+    return dEdt, bound
+
+
 def decay_check(field, params, Re, Re_E, sample, op):
     """Evaluate the decay certificate dEdt <= (1/Re_E - 1/Re) D for one
     field, with a relative slack of 1e-10 |D| absorbing quadrature
     rounding.  Returns the signed margin (bound - dEdt, >= 0 when the
     certificate holds)."""
-    if not np.isfinite(Re_E) or Re_E <= 0:
-        raise ParameterError(f"Re_E must be finite and > 0, got {Re_E}")
-    br = energy_ratio(field, params, sample, op, Re=Re)
-    bound = (1.0 / Re_E - 1.0 / Re) * br.D + DECAY_SLACK * abs(br.D)
-    margin = bound - br.dEdt
-    return DecayReport(dEdt=br.dEdt, bound=bound, margin=float(margin),
-                       satisfied=bool(br.dEdt <= bound))
+    _check_bundle(field, params, sample, op)
+    dEdt, bound = (float(v) for v in
+                   _decay_terms(field, params, Re, Re_E, sample, op))
+    return DecayReport(dEdt=dEdt, bound=bound, margin=bound - dEdt,
+                       satisfied=dEdt <= bound)
 
 
 def poincare_check(field, op):
@@ -301,14 +356,22 @@ def _dense_work(S):
     return S.toarray(out=np.empty(S.shape, dtype=S.dtype, order="F"))
 
 
-def _fd_max_m(params, a, M):
+def _fd_max_m(params, a, M, m_near=None):
     """Largest eigenvalue of the FD pencil at one grid size.
 
-    Small problems go through the dense symmetric solver.  Larger ones use
-    shift-invert Lanczos seeded deterministically, with the shift placed a
-    safe 5% above a coarse dense estimate, and the returned eigenpair is
-    polished by an exact Rayleigh quotient of the sparse matrices (the
-    factorization alone degrades as the mass matrix norm grows like h^-4).
+    Small problems go through the dense symmetric solver, which computes
+    the top eigenvalue only.  Larger ones use shift-invert Lanczos seeded
+    deterministically, with the shift placed a safe 5% above m_near, an
+    estimate of that eigenvalue (without one, a dense solve at
+    FD_COARSE_M), and the returned eigenpair is polished by an exact
+    Rayleigh quotient of the sparse matrices (the factorization alone
+    degrades as the mass matrix norm grows like h^-4).  A quotient not
+    below the shift raises NumericalError: with the shift at or below the
+    top eigenvalue, shift-invert returns the eigenvalue nearest the shift,
+    which can be an interior one.  The guard catches a shift just below
+    the top eigenvalue; one far below it can land on an interior
+    eigenvalue below the shift unnoticed, so m_near must estimate the top
+    eigenvalue itself.
     """
     import scipy.linalg as sla
     import scipy.sparse.linalg as spla
@@ -317,10 +380,12 @@ def _fd_max_m(params, a, M):
     n = Lh.shape[0]
     if n <= FD_DENSE_LIMIT:
         vals = sla.eigh(_dense_work(Lh), _dense_work(Mm.astype(complex)),
-                        eigvals_only=True, overwrite_a=True, overwrite_b=True)
+                        eigvals_only=True, subset_by_index=[n - 1, n - 1],
+                        overwrite_a=True, overwrite_b=True)
         return float(vals[-1])
-    m_coarse = _fd_max_m(params, a, FD_COARSE_M)
-    sigma = 1.05 * m_coarse
+    if m_near is None:
+        m_near = _fd_max_m(params, a, FD_COARSE_M)
+    sigma = 1.05 * m_near
     rng = np.random.default_rng(_FD_SEED)
     v0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     vals, vecs = spla.eigsh(Lh, k=3, M=Mm, sigma=sigma, which="LM", v0=v0,
@@ -328,7 +393,12 @@ def _fd_max_m(params, a, M):
     q = vecs[:, int(np.argmax(vals))]
     num = float(np.vdot(q, Lh @ q).real)
     den = float(np.vdot(q, Mm @ q).real)
-    return num / den
+    m = num / den
+    if not m < sigma:
+        raise NumericalError(
+            f"FD shift {sigma:.6e} at M={M} is not above the eigenvalue "
+            f"{m:.6e} it found; shift-invert may have missed the top one")
+    return m
 
 
 def fd_oracle(params, a, M=300):
@@ -346,5 +416,7 @@ def fd_oracle(params, a, M=300):
     if not isinstance(M, (int, np.integer)) or M < 200:
         raise ParameterError(f"M must be an integer >= 200, got {M!r}")
     m1 = _fd_max_m(params, a, int(M))
-    m2 = _fd_max_m(params, a, 2 * int(M))
+    # m1 is within O(h^2) of the fine grid's top eigenvalue, far inside
+    # the 5% margin of the shift placed above it
+    m2 = _fd_max_m(params, a, 2 * int(M), m_near=m1)
     return m2 + (m2 - m1) / 3.0

@@ -147,9 +147,26 @@ def test_verify_default_configuration_passes(tmp_path):
     assert len(report["points"]) == 4
     for point in report["points"]:
         assert point["passed"]
-        assert set(point["checks"]) == {"ratio_identity", "random_trial_bound",
-                                        "decay_below_threshold", "poincare",
-                                        "fd_oracle"}
+        assert list(point["checks"]) == ["ratio_identity", "random_trial_bound",
+                                         "decay_below_threshold", "poincare",
+                                         "fd_oracle"]
+
+
+def test_verify_runs_fd_oracles_after_spectral_checks(monkeypatch, capsys):
+    # the NumPy-side solves and the SciPy-side FD oracles never alternate
+    calls = []
+    for name in ("solve_max_m", "fd_oracle"):
+        func = getattr(cli, name)
+
+        def recorded(*args, func=func, name=name, **kwargs):
+            calls.append(name)
+            return func(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, recorded)
+    assert cli.main(["verify", "--ha", "0.5", "2", "--n", "30"]) == 0
+    assert calls == ["solve_max_m"] * 2 + ["fd_oracle"] * 2
+    report = json.loads(capsys.readouterr().out)
+    assert [p["Ha"] for p in report["points"]] == [0.5, 2.0]
 
 
 def test_verify_perturbed_claim_fails(tmp_path):
@@ -212,6 +229,25 @@ def test_bad_config_files_are_usage_errors(tmp_path):
 ])
 def test_usage_errors_exit_two(args):
     assert run_cli(*args).returncode == 2
+
+
+def test_neutral_honours_a_points(monkeypatch, capsys):
+    counts = []
+    solve = critical.solve_max_m
+
+    def counted(pencil):
+        counts[-1] += 1
+        return solve(pencil)
+
+    monkeypatch.setattr(critical, "solve_max_m", counted)
+    for extra in ((), ("--a-points", "5")):
+        counts.append(0)
+        assert cli.main(["neutral", "--ha", "1", "--n", "20", *extra]) == 0
+        capsys.readouterr()
+    assert counts[0] >= 40 and 5 <= counts[1] < 40
+    assert cli.main(["neutral", "--ha", "1", "--n", "20",
+                     "--a-points", "2"]) == 2
+    assert "coarse_points" in capsys.readouterr().err
 
 
 def test_failed_points_print_nan_and_exit_three(monkeypatch, capsys, caplog):

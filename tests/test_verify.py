@@ -7,8 +7,11 @@ import numpy.polynomial.chebyshev as ncheb
 import pytest
 
 import mhdes
-from mhdes.errors import ConsistencyError, ParameterError, VerificationError
-from mhdes.verify import POINCARE_BOUND, _fd_max_m
+from mhdes import verify
+from mhdes.errors import (ConsistencyError, NumericalError, ParameterError,
+                          VerificationError)
+from mhdes.verify import (POINCARE_BOUND, TRIAL_RTOL, _fd_max_m, _functionals,
+                          _random_clamped_fields)
 
 # closed-form functional values for polynomial trial fields (exact integrals
 # of the envelope (1-z^2)^2 against the wall-driven base state at Ha = 1),
@@ -145,6 +148,60 @@ def test_understated_claim_is_falsified(wb):
     json.dumps(report)  # must be serializable as shipped
 
 
+@pytest.mark.parametrize("flow, Ha", [("couette", 1.0), ("hartmann", 10.0)])
+def test_batched_trials_match_per_field_loop(wb, flow, Ha):
+    # the batch draws the per-field stream bit for bit, evaluates the same
+    # fields, and its ratios are those of energy_ratio field by field
+    params, op = wb.params(flow, Ha), wb.op(60)
+    sample = wb.sample(flow, Ha, 60)
+    cw, cl, fields = _random_clamped_fields(np.random.default_rng(7), 50,
+                                            1.2, op)
+    prod, diss1, _ = _functionals(fields, params, sample, op)
+    ratios = prod / diss1
+    # a ratio near zero is a cancellation in I, whose rounding scales with
+    # the batch's larger ratios, not with its own size
+    scale = np.max(np.abs(ratios))
+    rng = np.random.default_rng(7)
+    env = (1.0 - op.nodes**2) ** 2
+    for t in range(50):
+        w_coef = rng.standard_normal(57) + 1j * rng.standard_normal(57)
+        l_coef = rng.standard_normal(57) + 1j * rng.standard_normal(57)
+        assert np.array_equal(cw[t], w_coef) and np.array_equal(cl[t], l_coef)
+        wf = env * ncheb.chebval(op.nodes, w_coef)
+        lf = env * ncheb.chebval(op.nodes, l_coef)
+        assert np.array_equal(fields.w_hat[t], wf)
+        assert np.array_equal(fields.l_hat[t], lf)
+        one = mhdes.energy_ratio(mhdes.make_trial_field(1.2, wf, lf, op),
+                                 params, sample, op)
+        assert abs(ratios[t] - one.ratio) <= 1e-14 * scale
+
+
+def test_falsification_names_first_random_offender(wb):
+    # a claim below some random ratios is falsified by the first of them,
+    # and the reported coefficients rebuild that very field
+    params, op = wb.params("couette", 1.0), wb.op(60)
+    sample = wb.sample("couette", 1.0, 60)
+    _, _, fields = _random_clamped_fields(np.random.default_rng(3), 200,
+                                          1.2, op)
+    prod, diss1, _ = _functionals(fields, params, sample, op)
+    ratios = prod / diss1
+    claim = float(np.quantile(ratios, 0.9))
+    first = int(np.flatnonzero(ratios > claim * (1.0 + TRIAL_RTOL))[0])
+    assert first > 0
+    with pytest.raises(VerificationError) as excinfo:
+        mhdes.random_trial_bound(params, 1.2, claim, trials=200, seed=3)
+    report = excinfo.value.report
+    assert report["trial_index"] == first
+    coeffs = {k: np.array([complex(re, im) for re, im in v])
+              for k, v in report["field_coefficients"].items()}
+    env = (1.0 - op.nodes**2) ** 2
+    fld = mhdes.make_trial_field(1.2, env * ncheb.chebval(op.nodes, coeffs["w"]),
+                                 env * ncheb.chebval(op.nodes, coeffs["l"]), op)
+    ratio = mhdes.energy_ratio(fld, params, sample, op).ratio
+    assert abs(ratio - report["ratio"]) <= 1e-14 * abs(ratio)
+    json.dumps(report)
+
+
 def test_trial_bound_validation(wb):
     params = wb.params("couette", 1.0)
     with pytest.raises(ParameterError):
@@ -275,3 +332,27 @@ def test_fd_shift_invert_path_is_deterministic(wb):
     v1 = _fd_max_m(params, 1.5, 1200)
     v2 = _fd_max_m(params, 1.5, 1200)
     assert v1 == v2
+
+
+def test_fd_oracle_seeds_fine_grid_with_coarse_value(wb, monkeypatch):
+    # grid M's value places the shift for grid 2M, so no third solve runs;
+    # the value is the one of the separate coarse-estimate solve it replaced
+    calls = []
+    fd_matrices = verify._fd_matrices
+
+    def counted(params, a, M):
+        calls.append(M)
+        return fd_matrices(params, a, M)
+
+    monkeypatch.setattr(verify, "_fd_matrices", counted)
+    m_fd = mhdes.fd_oracle(wb.params("couette", 1.0), 1.2, M=300)
+    assert calls == [300, 600]
+    assert abs(m_fd - 0.01746192513264199) <= 1e-7 * 0.01746192513264199
+
+
+def test_fd_shift_below_top_eigenvalue_is_rejected(wb):
+    params = wb.params("couette", 1.0)
+    m = _fd_max_m(params, 1.2, 600, m_near=0.0174622)
+    assert abs(m - 0.0174622) <= 1e-4 * m
+    with pytest.raises(NumericalError, match="shift"):
+        _fd_max_m(params, 1.2, 600, m_near=0.9 * m / 1.05)
