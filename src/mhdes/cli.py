@@ -40,6 +40,8 @@ PROFILE_HEADER = ("z", "U", "Uprime", "Usecond", "Bbar", "Bprime", "Bsecond")
 CURVE_HEADER = ("flow", "Ha", "Pm", "a", "Re")
 NEUTRAL_HEADER = ("flow", "Ha", "Pm", "a_crit", "Re_E", "N", "converged")
 
+CURVE_POINTS = 40
+
 VERIFY_TRIALS = 1000
 VERIFY_DECAY_FIELDS = 10
 VERIFY_FD_M = 300
@@ -66,7 +68,7 @@ class RunConfig:
     Pm: float = 0.1
     a_min: float = 0.2
     a_max: float = 4.0
-    a_points: int = 40
+    a_points: int | None = None
     N: int = 60
     seed: int = 42
     output_path: str = "-"
@@ -89,10 +91,12 @@ class RunConfig:
         if not self.a_min < self.a_max:
             raise ParameterError(
                 f"need a_min < a_max, got [{self.a_min}, {self.a_max}]")
-        for name in ("a_points", "N", "seed"):
+        for name in ("N", "seed"):
             object.__setattr__(self, name, int(getattr(self, name)))
-        if self.a_points < 1:
-            raise ParameterError("a_points must be at least 1")
+        if self.a_points is not None:
+            object.__setattr__(self, "a_points", int(self.a_points))
+            if self.a_points < 1:
+                raise ParameterError("a_points must be at least 1")
         if not (N_MIN <= self.N <= N_MAX):
             raise ParameterError(f"N must lie in [{N_MIN}, {N_MAX}], got {self.N}")
         if self.seed < 0:
@@ -189,7 +193,8 @@ def _sweep_status(thresholds):
 
 def cmd_curve(config):
     """Tabulate Re_a over a log-spaced wavenumber grid, one block per Ha."""
-    grid = np.geomspace(config.a_min, config.a_max, config.a_points)
+    points = CURVE_POINTS if config.a_points is None else config.a_points
+    grid = np.geomspace(config.a_min, config.a_max, points)
     rows = []
     for Ha in config.Ha_list:
         params = Params(flow=config.flow, Ha=Ha, Pm=config.Pm)
@@ -205,7 +210,10 @@ def cmd_curve(config):
 
 
 def cmd_neutral(config):
-    """Locate the threshold minimum per Hartmann number."""
+    """Locate the threshold minimum per Hartmann number.
+
+    a_points, if set, replaces the slope walk's bracket by a coarse scan.
+    """
     points = neutral_sweep(config.flow, config.Ha_list, config.Pm,
                            a_window=(config.a_min, config.a_max), N=config.N,
                            coarse_points=config.a_points)
@@ -215,12 +223,10 @@ def cmd_neutral(config):
     return _sweep_status([p.Re_E for p in points])
 
 
-def _verify_point(config, Ha, perturb_m_rel):
+def _verify_point(config, Ha, perturb_m_rel, op, maps):
     """Spectral-side checks at one Ha: params, a, m and the checks dict."""
     params = Params(flow=config.flow, Ha=Ha, Pm=config.Pm)
-    op = build_operator(config.N)
     sample = profile_for(params, op.nodes)
-    maps = clamped_restrict(op)
     a = 1.2 if config.a_min <= 1.2 <= config.a_max else float(
         np.sqrt(config.a_min * config.a_max))
     sol = solve_max_m(assemble_pencil(params, a, op, sample, maps))
@@ -276,7 +282,9 @@ def cmd_verify(config, perturb_m_rel=0.0):
     # every spectral-side check first, then every FD oracle: NumPy and
     # SciPy each bundle an OpenBLAS with its own worker pool, and handing
     # the cores from one pool to the other at every point stalls both
-    spectral = [_verify_point(config, Ha, perturb_m_rel)
+    op = build_operator(config.N)
+    maps = clamped_restrict(op)
+    spectral = [_verify_point(config, Ha, perturb_m_rel, op, maps)
                 for Ha in config.Ha_list]
     points = []
     for Ha, (params, a, m, checks) in zip(config.Ha_list, spectral):
@@ -305,7 +313,10 @@ def build_parser():
     common.add_argument("--pm", type=float, help="magnetic Prandtl number")
     common.add_argument("--a-min", type=float, help="lower wavenumber bound")
     common.add_argument("--a-max", type=float, help="upper wavenumber bound")
-    common.add_argument("--a-points", type=int, help="wavenumber grid size")
+    common.add_argument("--a-points", type=int,
+                        help="wavenumber grid size of curve (default 40); "
+                        "for neutral, an opt-in coarse scan in place of the "
+                        "slope walk")
     common.add_argument("--n", type=int, help="polynomial order of the solver")
     common.add_argument("--seed", type=int, help="seed for randomized checks")
     common.add_argument("--config", help="JSON file with a RunConfig; "

@@ -1,15 +1,20 @@
 """Critical threshold search over the spanwise wavenumber.
 
 The monotone-stability bound for a parameter set is Re_E = min over a of
-Re_a(a) = 1/m(a).  The minimizer is located by a logarithmically spaced
-coarse scan followed by a safeguarded secant search for the zero of the
-slope dm/da, which every solve returns alongside m (Hellmann-Feynman), so
-a refinement step costs one solve.  The best value ever seen is kept, so
-refinement can never report a worse point than the scan.  A minimum that
-lands on the window edge is returned with converged=False since the true
-minimizer may lie outside.
+Re_a(a) = 1/m(a).  Every solve returns the slope dm/da alongside m
+(Hellmann-Feynman), so the maximum of m is located from the slope alone.
+A walk from the window's geometric midpoint, by factors of two in the
+direction the slope points, brackets the slope's sign change, and a
+safeguarded secant search refines its zero at one solve per step.  An
+opt-in log-spaced coarse scan can find the bracket instead.  The best value
+ever seen is kept, so refinement never reports a worse point than the walk
+or the scan.  A minimum that lands on the window edge is returned with
+converged=False since the true minimizer may lie outside.  The operator and
+clamped maps depend on N alone, so consecutive searches at one N, such as
+the points of a Hartmann-number sweep, build them once.
 """
 
+import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -39,68 +44,111 @@ class NeutralPoint:
     converged: bool
 
 
-def minimize_over_a(params, a_min=0.2, a_max=4.0, N=60, coarse_points=40):
+@functools.lru_cache(maxsize=1)
+def _setup(N):
+    """Operator and clamped maps at N, kept for the next search at that N."""
+    op = build_operator(N)
+    return op, clamped_restrict(op)
+
+
+def _walk(a_min, a_max, solve_at):
+    """Two (a, slope) points from a factor-two walk up the slope of m.
+
+    Starts at the window's geometric midpoint and steps by 2 (or 1/2),
+    clamped to the window, while the slope points the way of the first
+    step.  The last two points bracket the slope's zero unless the walk
+    ended at the window edge or on a failed solve.
+    """
+    a = math.sqrt(a_min * a_max)
+    cur = (a, solve_at(a)[1])
+    prev, up = cur, cur[1] > 0
+    edge = a_max if up else a_min
+    while (cur[1] > 0 if up else cur[1] < 0) and a != edge:
+        a = min(2.0 * a, a_max) if up else max(0.5 * a, a_min)
+        prev, cur = cur, (a, solve_at(a)[1])
+    return prev, cur
+
+
+def _scan(a_min, a_max, coarse_points, solve_at):
+    """Two (a, slope) points around the minimum of a log-spaced scan.
+
+    The scan minimum is paired with the neighbour its slope points to,
+    which brackets the slope's zero; a slope pointing out of the window at
+    an edge minimum pairs the edge with itself, which brackets nothing.
+    """
+    grid = np.geomspace(a_min, a_max, coarse_points).tolist()
+    vals, slopes = zip(*(solve_at(a) for a in grid))
+    i = int(np.argmin(vals))
+    j = i + 1 if slopes[i] > 0 else i - 1
+    if not 0 <= j < coarse_points:
+        j = i
+    return (grid[i], slopes[i]), (grid[j], slopes[j])
+
+
+def minimize_over_a(params, a_min=0.2, a_max=4.0, N=60, coarse_points=None):
     """Minimize Re_a over wavenumbers in [a_min, a_max].
 
-    Runs a coarse scan on coarse_points log-spaced wavenumbers.  Around an
-    interior scan minimum, the sign of the slope dm/da at the scan points
-    brackets the maximum of m, and a safeguarded secant search on that
-    slope (Illinois steps, with bisection when the bracket stops halving)
-    refines it until a plain secant step moves less than A_TOL or the
+    The maximum of m lies where the slope dm/da changes sign.  By default a
+    walk brackets it: from the window's geometric midpoint, steps by a
+    factor of 2 in the direction the slope points, clamped to the window,
+    until the slope changes sign (about 10 solves per minimum at N = 60).
+    With coarse_points given, a scan of that many log-spaced wavenumbers
+    finds the bracket instead, between the scan minimum and the neighbour
+    its slope points to.  Either bracket is refined by a safeguarded secant
+    search on the slope (Illinois steps, with bisection when the bracket
+    stops halving) until a plain secant step moves less than A_TOL or the
     bracket is narrower than A_TOL after a step that cannot overshoot.  The
-    best value ever solved is returned, so refinement never reports a worse
-    point than the scan.  A minimum on the window edge, or a refinement cut
-    short by a missing bracket or a failed solve, is returned with
-    converged=False.  Curve points that fail to solve are skipped and
-    counted in one warning per minimum; if every coarse point fails the
-    error propagates.
+    best value ever solved is returned.  A minimum on the window edge, where
+    the slope points out of the window, or a search cut short by a failed
+    solve or a missing bracket, is returned with converged=False.  Failed
+    solves are counted in one warning per minimum; if no solve succeeds
+    (the walk's first, or every scan point) a NumericalError naming the
+    first error is raised.
     """
     if not (np.isfinite(a_min) and np.isfinite(a_max)) or not 0 < a_min < a_max:
         raise ParameterError(
             f"need 0 < a_min < a_max, got [{a_min}, {a_max}]")
-    if coarse_points < 3:
+    if coarse_points is not None and coarse_points < 3:
         raise ParameterError("coarse_points must be at least 3")
-    op = build_operator(N)
+    op, maps = _setup(N)
     sample = profile_for(params, op.nodes)
-    maps = clamped_restrict(op)
 
     failures = []
+    best_a, best_re = math.nan, math.inf
 
     def solve_at(a):
+        nonlocal best_a, best_re
         try:
             sol = solve_max_m(assemble_pencil(params, a, op, sample, maps))
         except NumericalError as exc:
             failures.append((a, exc))
             return math.inf, math.nan
+        if sol.Re_a < best_re:
+            best_a, best_re = a, sol.Re_a
         return sol.Re_a, sol.dm_da
 
-    def point(a_crit, Re_E, converged):
+    def point(converged):
         if failures:
             a, exc = failures[0]
             log.warning("%s Ha=%g Pm=%g: %d threshold solves failed; "
                         "first at a=%g: %s", params.flow, params.Ha, params.Pm,
                         len(failures), a, exc)
         return NeutralPoint(flow=params.flow, Ha=params.Ha, Pm=params.Pm,
-                            a_crit=a_crit, Re_E=Re_E, N_used=op.N,
+                            a_crit=best_a, Re_E=best_re, N_used=op.N,
                             converged=converged)
 
-    grid = np.geomspace(a_min, a_max, coarse_points).tolist()
-    vals, slopes = zip(*(solve_at(a) for a in grid))
-    if not np.any(np.isfinite(vals)):
+    if coarse_points is None:
+        ends = _walk(a_min, a_max, solve_at)
+    else:
+        ends = _scan(a_min, a_max, coarse_points, solve_at)
+    if not math.isfinite(best_re):
         raise NumericalError(
-            f"all {coarse_points} coarse scan points failed for {params}; "
-            f"first error: {failures[0][1]}")
-    i = int(np.argmin(vals))
-    best_a, best_re = grid[i], vals[i]
-    if i == 0 or i == coarse_points - 1:
-        return point(best_a, best_re, converged=False)
-    # m peaks where its slope changes sign, between the scan minimum and
-    # the neighbour its slope points to
-    j = i + 1 if slopes[i] > 0 else i - 1
-    (lo, g_lo), (hi, g_hi) = sorted([(grid[i], slopes[i]),
-                                     (grid[j], slopes[j])])
+            f"no threshold solve succeeded for {params}: {len(failures)} "
+            f"failed; first error: {failures[0][1]}")
+    # m peaks where its slope changes sign from + to -
+    (lo, g_lo), (hi, g_hi) = sorted(ends)
     if not g_lo > 0 > g_hi:
-        return point(best_a, best_re, converged=False)
+        return point(converged=False)
     x = best_a
     widths = [hi - lo]
     kept, halved, step = 0, False, None
@@ -115,11 +163,9 @@ def minimize_over_a(params, a_min=0.2, a_max=4.0, N=60, coarse_points=40):
         if not lo < x < hi or (len(widths) > 3
                                and hi - lo > 0.5 * widths[-4]):
             x, step = 0.5 * (lo + hi), "bisect"
-        f, g = solve_at(x)
-        if f < best_re:
-            best_a, best_re = x, f
+        _, g = solve_at(x)
         if not np.isfinite(g):
-            return point(best_a, best_re, converged=False)
+            return point(converged=False)
         # Illinois: halve the slope held at an end that survives twice
         if g > 0:
             halved = kept == 1
@@ -138,14 +184,18 @@ def minimize_over_a(params, a_min=0.2, a_max=4.0, N=60, coarse_points=40):
         # less than A_TOL its point is far closer than that to the peak
         if step == "secant" and abs(x - x_prev) <= A_TOL:
             break
-    return point(best_a, best_re, converged=True)
+    return point(converged=True)
 
 
 def neutral_sweep(flow, Ha_list, Pm, a_window=(0.2, 4.0), N=60,
-                  coarse_points=40):
+                  coarse_points=None):
     """Threshold points for each Hartmann number in Ha_list, input order.
 
-    Each point is a minimize_over_a search with coarse_points scan points.
+    Each point is a minimize_over_a search over a_window (a coarse scan of
+    coarse_points wavenumbers if given).  The walks are not seeded from the
+    previous point, so a row does not depend on the other Hartmann numbers
+    of the sweep.  The first search checks the window before anything is
+    built, and the searches share one operator and one set of clamped maps.
 
     A parameter point whose search fails numerically is logged once and
     yields a NaN point flagged converged=False so the remaining sweep still

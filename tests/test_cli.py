@@ -86,6 +86,13 @@ def test_curve_blocks_and_grid():
             assert math.isfinite(re_a) and re_a > 0
 
 
+def test_curve_default_grid_has_forty_points():
+    assert RunConfig().a_points is None
+    proc = run_cli("curve", "--ha", "1", "--n", "20")
+    _, rows = parse_csv(proc.stdout)
+    assert [float(r[3]) for r in rows] == np.geomspace(0.2, 4.0, 40).tolist()
+
+
 def test_curve_degenerate_grid():
     proc = run_cli("curve", "--ha", "0.5", "--a-points", "1", "--n", "20")
     _, rows = parse_csv(proc.stdout)
@@ -240,11 +247,12 @@ def test_neutral_honours_a_points(monkeypatch, capsys):
         return solve(pencil)
 
     monkeypatch.setattr(critical, "solve_max_m", counted)
-    for extra in ((), ("--a-points", "5")):
+    for extra in ((), ("--a-points", "40")):
         counts.append(0)
         assert cli.main(["neutral", "--ha", "1", "--n", "20", *extra]) == 0
         capsys.readouterr()
-    assert counts[0] >= 40 and 5 <= counts[1] < 40
+    # the slope walk by default, the coarse scan only when asked for
+    assert counts[0] <= 15 and counts[1] >= 40
     assert cli.main(["neutral", "--ha", "1", "--n", "20",
                      "--a-points", "2"]) == 2
     assert "coarse_points" in capsys.readouterr().err

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from mhdes import (Params, critical, minimize_over_a, neutral_sweep,
+from mhdes import (clamped_restrict, critical, minimize_over_a, neutral_sweep,
                    solve_max_m)
 from mhdes.critical import A_TOL
-from mhdes.errors import ParameterError
+from mhdes.errors import NumericalError, ParameterError
 
 # oracle values from a finite-difference Richardson scan minimized on a
 # dense wavenumber grid (vanishing-coupling limit)
@@ -16,6 +16,8 @@ HYDRO_PRESSURE = (2.0986, 87.5937)
 # (a_crit, Re_E) of couette, Ha = 1, Pm = 0.1, N = 50 on [0.2, 30], frozen
 # from the golden-section search that the slope-driven refinement replaced
 GOLDEN_COUETTE_HA1 = (1.8962703547092798, 49.661215981990146)
+
+SWEEP_HA = (0.1, 1.0, 10.0, 50.0)
 
 
 @pytest.fixture(scope="module")
@@ -61,7 +63,24 @@ def test_edge_minimum_flagged_not_converged(wb):
     assert pt.a_crit == 1.0
 
 
-def test_slope_refinement_costs_few_solves(wb, monkeypatch):
+@pytest.mark.parametrize("window,edge,coarse_points", [
+    ((0.2, 1.0), 1.0, 40),
+    ((3.0, 10.0), 3.0, None),
+    ((3.0, 10.0), 3.0, 40),
+])
+def test_edge_rule_at_both_window_ends(wb, window, edge, coarse_points):
+    # the minimizer near a = 1.89 lies above [0.2, 1] and below [3, 10], so
+    # the slope points out of the window at the edge named; the walk on
+    # [0.2, 1] is test_edge_minimum_flagged_not_converged
+    pt = minimize_over_a(wb.params("couette", 1.0), *window, N=50,
+                         coarse_points=coarse_points)
+    assert not pt.converged
+    assert pt.a_crit == edge
+    sol = wb.solution("couette", 1.0, edge, N=50)
+    assert pt.Re_E == sol.Re_a
+
+
+def count_solves(monkeypatch):
     calls = []
 
     def counted(pencil):
@@ -69,6 +88,65 @@ def test_slope_refinement_costs_few_solves(wb, monkeypatch):
         return solve_max_m(pencil)
 
     monkeypatch.setattr(critical, "solve_max_m", counted)
+    return calls
+
+
+def test_walk_costs_few_solves_on_sweep_points(wb, monkeypatch):
+    calls = count_solves(monkeypatch)
+    for flow in ("couette", "hartmann"):
+        for Ha in SWEEP_HA:
+            params = wb.params(flow, Ha)
+            calls.clear()
+            walk = minimize_over_a(params, 0.2, 30.0, N=60)
+            assert walk.converged
+            assert len(calls) <= 15
+            scan = minimize_over_a(params, 0.2, 30.0, N=60, coarse_points=40)
+            assert scan.converged
+            assert abs(walk.Re_E - scan.Re_E) <= 1e-9 * scan.Re_E
+
+
+def test_scan_edge_minimum_with_inward_slope_is_refined(wb):
+    # the scan's smallest value sits on a_max = 5, but the slope there
+    # points into the window: the peak of m lies between the last two
+    # grid points (4.713 and 5), where the walk finds it too
+    params = wb.params("hartmann", 20.0, Pm=1.0)
+    scan = minimize_over_a(params, 0.5, 5.0, N=48, coarse_points=40)
+    walk = minimize_over_a(params, 0.5, 5.0, N=48)
+    assert scan.converged and walk.converged
+    assert 4.713 < scan.a_crit < 5.0
+    assert abs(scan.a_crit - 4.9089) <= 1e-3
+    assert scan.Re_E < 297.6
+    assert abs(scan.Re_E - walk.Re_E) <= 1e-9 * walk.Re_E
+
+
+def test_failed_first_solve_raises_and_later_failure_stops(wb, monkeypatch):
+    params = wb.params("couette", 1.0)
+    calls = []
+
+    def failing(after):
+        def solve(pencil):
+            calls.append(pencil.a)
+            if len(calls) > after:
+                raise NumericalError("injected failure")
+            return solve_max_m(pencil)
+        return solve
+
+    monkeypatch.setattr(critical, "solve_max_m", failing(0))
+    with pytest.raises(NumericalError, match="injected failure"):
+        minimize_over_a(params, 0.2, 30.0, N=50)
+    assert len(calls) == 1
+    calls.clear()
+    monkeypatch.setattr(critical, "solve_max_m", failing(1))
+    pt = minimize_over_a(params, 0.2, 30.0, N=50)
+    first = calls[0]
+    assert first == np.sqrt(0.2 * 30.0) and len(calls) == 2
+    assert not pt.converged
+    assert pt.a_crit == first
+    assert pt.Re_E == wb.solution("couette", 1.0, first, N=50).Re_a
+
+
+def test_slope_refinement_costs_few_solves(wb, monkeypatch):
+    calls = count_solves(monkeypatch)
     pt = minimize_over_a(wb.params("couette", 1.0), 0.2, 30.0, N=50,
                          coarse_points=40)
     assert pt.converged
@@ -107,6 +185,35 @@ def test_singleton_sweep_matches_direct_minimization(wb):
     (pt,) = neutral_sweep("couette", [1.0], 0.1, a_window=(0.2, 4.0), N=50)
     direct = minimize_over_a(wb.params("couette", 1.0), 0.2, 4.0, N=50)
     assert pt == direct
+
+
+def test_sweep_rows_match_searches_run_alone(wb, sweep_cache):
+    # the walk is not seeded from the previous Ha, so each row is the
+    # search for that Ha alone
+    for flow in ("couette", "hartmann"):
+        alone = [minimize_over_a(wb.params(flow, Ha), 0.2, 30.0, N=50)
+                 for Ha in reversed(SWEEP_HA)]
+        assert sweep_cache[flow] == alone[::-1]
+
+
+def test_sweep_builds_operator_and_maps_once(monkeypatch):
+    built = []
+
+    def counted(op):
+        built.append(op.N)
+        return clamped_restrict(op)
+
+    monkeypatch.setattr(critical, "clamped_restrict", counted)
+    critical._setup.cache_clear()
+    with pytest.raises(ParameterError):
+        neutral_sweep("couette", [1.0], 0.1, a_window=(4.0, 0.2), N=36)
+    with pytest.raises(ParameterError):
+        neutral_sweep("couette", [1.0], 0.1, N=36, coarse_points=2)
+    assert built == []
+    pts = neutral_sweep("couette", [0.5, 1.0, 2.0], 0.1, N=36)
+    assert built == [36]
+    assert all(p.converged and p.N_used == 36 for p in pts)
+    critical._setup.cache_clear()
 
 
 def test_threshold_is_attained_by_a_solvable_point(wb):
