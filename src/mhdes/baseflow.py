@@ -33,8 +33,8 @@ class Params:
     def __post_init__(self):
         if self.flow not in FLOWS:
             raise ParameterError(f"flow must be one of {FLOWS}, got {self.flow!r}")
-        if not np.isfinite(self.Ha) or self.Ha < 0:
-            raise ParameterError(f"Ha must be finite and >= 0, got {self.Ha}")
+        if not np.isfinite(self.Ha) or self.Ha <= 0:
+            raise ParameterError(f"Ha must be finite and > 0, got {self.Ha}")
         if self.Ha > HA_CEIL:
             raise ParameterError(
                 f"Ha = {self.Ha:g} exceeds the supported ceiling {HA_CEIL:g}; "

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baseflow import Params, profile_for
+from .baseflow import FLOWS, Params, profile_for
 from .critical import neutral_sweep
 from .errors import (ConsistencyError, MhdesError, NumericalError,
                      ParameterError, VerificationError)
@@ -75,8 +75,8 @@ class RunConfig:
     format: str = "csv"
 
     def __post_init__(self):
-        if self.flow not in ("couette", "hartmann"):
-            raise ParameterError(f"flow must be couette or hartmann, got {self.flow!r}")
+        if self.flow not in FLOWS:
+            raise ParameterError(f"flow must be one of {FLOWS}, got {self.flow!r}")
         ha = tuple(float(v) for v in self.Ha_list)
         if len(ha) == 0:
             raise ParameterError("Ha_list must be nonempty")
@@ -306,7 +306,7 @@ def build_parser():
         description="Energy-stability thresholds for conducting channel flows")
     sub = p.add_subparsers(dest="command", required=True)
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--flow", choices=("couette", "hartmann"),
+    common.add_argument("--flow", choices=FLOWS,
                         help="base state family")
     common.add_argument("--ha", type=float, nargs="+", metavar="HA",
                         help="one or more Hartmann numbers")

@@ -2,14 +2,20 @@
 
 For a single spanwise Fourier mode with wavenumber a, the largest value m
 of (production) / (primary dissipation) over clamped fields solves a
-self-adjoint generalized eigenproblem.  The two matrices are realized as
-Galerkin quadratic forms on the clamped recombined basis: Mmat collects
-the weak biharmonic-minus-Laplacian energy (D^2 - a^2)^2 for each field
-with the magnetic block weighted by Ha^2, and Lmat collects the shear and
-magnetic-coupling production forms.  A strong-form collocation of the same
-blocks loses the Hermitian positive-definite structure that the Hermitian
-solve and the ratio identity rely on, which is why the weak realization is
-used.
+self-adjoint generalized eigenproblem.  The two sides are realized as
+Galerkin quadratic forms on the clamped recombined basis: S is the weak
+biharmonic-minus-Laplacian energy form (D^2 - a^2)^2 of one field, and
+Lmat collects the shear and magnetic-coupling production forms.  A
+strong-form collocation of the same blocks loses the Hermitian
+positive-definite structure that the Hermitian solve and the ratio
+identity rely on, which is why the weak realization is used.
+
+The magnetic unknown is the rescaled field l~ = Ha l.  In it the energy
+of both fields is the same form S at every Ha, the magnetic block of Lmat
+is -Pm times the velocity block, and the coupling carries the factor
+Ha Pm, so the pencil stays well scaled and continuous as Ha -> 0, where
+the magnetic sector keeps its own production; l = l~/Ha is restored when
+a solution is injected back onto the full grid.
 
 The velocity block of Lmat equals the Hermitian part of the weak advective
 operator exactly; the off-diagonal coupling blocks agree with the weak
@@ -17,18 +23,14 @@ second-derivative coupling up to discrete integration-by-parts aliasing
 that vanishes with resolution and does not perturb the eigenvalues beyond
 the documented residual bound.
 
-Every block of Lmat is purely imaginary and Mmat is real, so the top
-eigenpair is found in real arithmetic: Mmat is Cholesky-factored, the
-whitened real antisymmetric matrix Y gives m as its largest singular
-value, and the complex eigenvector is rebuilt from a real one.  The solve
-uses NumPy alone; mixing in SciPy's LAPACK would alternate between two
-bundled OpenBLAS thread pools on every wavenumber, and the workers of one
-pool keep spinning for a while after its last call, holding the cores the
-other pool needs.
-
-Below HA_FLOOR the magnetic sector decouples and a single-field pencil is
-assembled; force_coupled=True keeps the two-field structure for
-diagnostics such as reduction tests.
+Every block of Lmat is purely imaginary and S is real, so the top
+eigenpair is found in real arithmetic: S is Cholesky-factored once, each
+block of the whitened real antisymmetric matrix Y is formed with that
+factor, m is the largest singular value of Y, and the complex eigenvector
+is rebuilt from a real one.  The solve uses NumPy alone; mixing in
+SciPy's LAPACK would alternate between two bundled OpenBLAS thread pools
+on every wavenumber, and the workers of one pool keep spinning for a while
+after its last call, holding the cores the other pool needs.
 """
 
 import logging
@@ -36,8 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baseflow import (HA_FLOOR, BaseFlowSample, Params, check_sample,
-                       profile_for)
+from .baseflow import BaseFlowSample, Params, check_sample, profile_for
 from .errors import ConsistencyError, NumericalError, ParameterError
 from .spectral import ClampedMaps, SpectralOperator, build_operator, clamped_restrict
 
@@ -50,22 +51,21 @@ INVERSE_SHIFT = 1e-10
 
 @dataclass(frozen=True, eq=False)
 class EvpPencil:
-    """Assembled generalized eigenproblem Lmat q + 2 m Mmat q = 0.
+    """Assembled generalized eigenproblem Lmat q + 2 m blockdiag(S, S) q = 0
+    for q = (w, l~) with the rescaled magnetic field l~ = Ha l.
 
-    Lmat is Hermitian and purely imaginary; Mmat is real symmetric
-    positive definite (the magnetic block carries the Ha^2 weight), and
-    dMmat is its derivative with respect to a.  hydro marks the
-    single-field reduction used below HA_FLOOR; maps is kept so solutions
-    can be injected back onto the full grid.
+    Lmat is Hermitian and purely imaginary; S is the real symmetric
+    positive definite energy form of one field, shared by both, and dS is
+    its derivative with respect to a.  maps is kept so solutions can be
+    injected back onto the full grid.
     """
 
     a: float
     Lmat: np.ndarray
-    Mmat: np.ndarray
-    dMmat: np.ndarray
+    S: np.ndarray
+    dS: np.ndarray
     params: Params
     N: int
-    hydro: bool
     maps: ClampedMaps
 
 
@@ -105,40 +105,30 @@ def _energy_form(a, qw, maps):
     return 0.5 * (S + S.T), 0.5 * (dS + dS.T)
 
 
-def _blocks(sample, a, qw, maps, A, Ha, coupled):
-    """Assemble (Lmat, Mmat, dMmat) from the quadratic forms; A may be
-    overridden (e.g. set to zero) to probe the decoupling structure."""
+def _blocks(sample, a, qw, maps, Ha, Pm):
+    """Assemble (Lmat, S, dS) from the quadratic forms; Ha may be set to
+    zero to probe the decoupling structure."""
     K_U, K_B = _production_forms(sample, qw, maps)
     S, dS = _energy_form(a, qw, maps)
     T = -1j * a * (K_U - K_U.T)
     nm = S.shape[0]
-    if not coupled:
-        return T, S, dS
-    L = np.zeros((2 * nm, 2 * nm), dtype=complex)
+    L = np.empty((2 * nm, 2 * nm), dtype=complex)
     L[:nm, :nm] = T
-    L[nm:, nm:] = -A * T
-    C = 1j * a * A * (K_B + K_B.T)
+    L[nm:, nm:] = -Pm * T
+    C = 1j * a * Ha * Pm * (K_B + K_B.T)
     L[:nm, nm:] = C
     L[nm:, :nm] = -C
-    M = np.zeros((2 * nm, 2 * nm))
-    M[:nm, :nm] = S
-    M[nm:, nm:] = Ha * Ha * S
-    dM = np.zeros((2 * nm, 2 * nm))
-    dM[:nm, :nm] = dS
-    dM[nm:, nm:] = Ha * Ha * dS
-    return L, M, dM
+    return L, S, dS
 
 
-def _assemble(params, a, op, sample, maps, force_coupled=False):
+def _assemble(params, a, op, sample, maps):
     """Signed-wavenumber assembly without the a > 0 domain check."""
-    coupled = force_coupled or params.Ha >= HA_FLOOR
-    Lmat, Mmat, dMmat = _blocks(sample, a, op.qweights, maps, params.A,
-                                params.Ha, coupled)
-    return EvpPencil(a=float(a), Lmat=Lmat, Mmat=Mmat, dMmat=dMmat,
-                     params=params, N=op.N, hydro=not coupled, maps=maps)
+    Lmat, S, dS = _blocks(sample, a, op.qweights, maps, params.Ha, params.Pm)
+    return EvpPencil(a=float(a), Lmat=Lmat, S=S, dS=dS, params=params,
+                     N=op.N, maps=maps)
 
 
-def assemble_pencil(params, a, op, sample, maps=None, force_coupled=False):
+def assemble_pencil(params, a, op, sample, maps=None):
     """Assemble the clamped pencil for wavenumber a > 0.
 
     op, sample, and maps must describe the same grid and parameters;
@@ -156,8 +146,7 @@ def assemble_pencil(params, a, op, sample, maps=None, force_coupled=False):
         maps = clamped_restrict(op)
     elif maps.inject.shape != (op.N + 1, op.N - 3):
         raise ConsistencyError("clamped maps do not match the operator order")
-    return _assemble(params, float(a), op, sample, maps,
-                     force_coupled=force_coupled)
+    return _assemble(params, float(a), op, sample, maps)
 
 
 def solve_max_m(pencil):
@@ -165,44 +154,50 @@ def solve_max_m(pencil):
 
     The pencil is self-adjoint and real up to a factor i: Lmat is purely
     imaginary Hermitian, so -Lmat/2 = i K with K real antisymmetric, and
-    Mmat is real symmetric positive definite.  With Mmat = c c^T the
-    problem (-Lmat/2) q = m Mmat q becomes i Y v = m v for the real
-    antisymmetric Y = c^-1 K c^-T and q = c^-T v.  The top eigenvalue m is
-    the largest singular value of Y, the square root of the top eigenvalue
-    of Y^T Y.  That eigenvalue is double, and every unit vector w of its
-    eigenspace gives the same q up to a phase through v = w + i Y w / m;
-    one such w comes from two steps of inverse iteration shifted just
-    above it, so only eigenvalues are ever decomposed.  The solve runs in
-    real arithmetic through NumPy alone, so the hot path of a sweep never
-    alternates between two BLAS libraries.
+    S is real symmetric positive definite.  With S = c c^T, factored once
+    for both fields, the problem (-Lmat/2) q = m blockdiag(S, S) q becomes
+    i Y v = m v for the real antisymmetric Y whose blocks are
+    c^-1 K_ij c^-T, and q = blockdiag(c, c)^-T v.  The top eigenvalue m
+    is the largest singular value of Y, the square root of the top
+    eigenvalue of Y^T Y.  That eigenvalue is double, and every unit vector
+    w of its eigenspace gives the same q up to a phase through
+    v = w + i Y w / m; one such w comes from two steps of inverse
+    iteration shifted just above it, so only eigenvalues are ever
+    decomposed.  The solve runs in real arithmetic through NumPy alone, so
+    the hot path of a sweep never alternates between two BLAS libraries.
 
     Lmat is linear in a, so the Hellmann-Feynman slope reduces to
-    dm/da = m/a - m q^H dMmat q / q^H Mmat q.
+    dm/da = m/a - m q^H blockdiag(dS, dS) q / q^H blockdiag(S, S) q.
 
     The eigenvector is scaled to unit 2-norm before it is injected back
-    onto the full grid, and the residual is taken on the complex pencil.
-    A pencil whose Lmat is not exactly Hermitian or has a nonzero real
-    part, whose Mmat is not exactly real symmetric, or whose Mmat has no
-    Cholesky factor raises NumericalError instead of being solved.
+    onto the full grid, its magnetic half divided by Ha, and the residual
+    is taken on the complex pencil.  A pencil whose Lmat is not exactly
+    Hermitian or has a nonzero real part, whose S is not exactly real
+    symmetric, or whose S has no Cholesky factor raises NumericalError
+    instead of being solved.
     """
     if not isinstance(pencil, EvpPencil):
         raise ParameterError("solve_max_m expects an EvpPencil")
-    L, M = pencil.Lmat, pencil.Mmat
-    if not np.array_equal(L, L.conj().T) or not np.array_equal(M, M.conj().T):
+    L, S = pencil.Lmat, pencil.S
+    if not np.array_equal(L, L.conj().T) or not np.array_equal(S, S.conj().T):
         raise NumericalError("pencil is not Hermitian; the self-adjoint "
                              "solve does not apply")
-    if np.any(np.real(L)) or np.any(np.imag(M)):
-        raise NumericalError("Lmat is not purely imaginary or Mmat is not "
+    if np.any(np.real(L)) or np.any(np.imag(S)):
+        raise NumericalError("Lmat is not purely imaginary or S is not "
                              "real; the real solve does not apply")
-    K = -0.5 * np.imag(L)
+    S = np.real(S)
+    n = S.shape[0]
     try:
-        c = np.linalg.cholesky(np.real(M))
+        c = np.linalg.cholesky(S)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(
-            f"mass matrix is not positive definite: {exc}") from exc
+            f"energy form is not positive definite: {exc}") from exc
     ci = np.linalg.inv(c)
-    Y = ci @ K @ ci.T
-    Y = 0.5 * (Y - Y.T)
+    # c^-1 applied to each row block of K, then to each row block of the
+    # transpose, gives W = Y^T; the two fields share the one factor
+    Z = (ci @ (-0.5 * np.imag(L)).reshape(2, n, 2 * n)).reshape(2 * n, 2 * n)
+    W = (ci @ Z.T.reshape(2, n, 2 * n)).reshape(2 * n, 2 * n)
+    Y = 0.5 * (W.T - W)
     YtY = Y.T @ Y
     top = np.linalg.eigvalsh(YtY)[-1]
     m = float(np.sqrt(max(top, 0.0)))
@@ -218,18 +213,19 @@ def solve_max_m(pencil):
         w /= np.linalg.norm(w)
     # solving with c.T keeps the residual at the level of a generalized
     # Hermitian solve; multiplying by ci.T raises it to 1e-8 at N = 101
-    qr, qi = np.linalg.solve(c.T, np.column_stack((w, (Y @ w) / m))).T
+    v = np.column_stack((w, (Y @ w) / m)).reshape(2, n, 2)
+    qr, qi = np.linalg.solve(c.T, v).reshape(2 * n, 2).T
     q = qr + 1j * qi
     q /= np.linalg.norm(q)
-    residual = float(np.linalg.norm(L @ q + 2.0 * m * (M @ q)))
-    dm_da = m / pencil.a - m * (np.vdot(q, pencil.dMmat @ q).real
-                                / np.vdot(q, M @ q).real)
-    nm = pencil.maps.inject.shape[1]
-    w_hat = pencil.maps.inject @ q[:nm]
-    if pencil.hydro:
-        l_hat = np.zeros_like(w_hat)
-    else:
-        l_hat = pencil.maps.inject @ q[nm:]
+    # rows are the two fields; S and dS are symmetric, so qb @ S is S
+    # applied to each field
+    qb = q.reshape(2, n)
+    Sq = qb @ S
+    residual = float(np.linalg.norm(L @ q + 2.0 * m * Sq.ravel()))
+    dm_da = m / pencil.a - m * (np.vdot(qb, qb @ pencil.dS).real
+                                / np.vdot(qb, Sq).real)
+    w_hat = pencil.maps.inject @ qb[0]
+    l_hat = pencil.maps.inject @ qb[1] / pencil.params.Ha
     return EvpSolution(m=m, dm_da=float(dm_da), Re_a=1.0 / m, w_hat=w_hat,
                        l_hat=l_hat, residual=residual)
 

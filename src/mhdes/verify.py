@@ -11,12 +11,13 @@ be collapsed into one.
 
 import logging
 import math
+import mmap
 from dataclasses import dataclass
 
 import numpy as np
 import numpy.polynomial.chebyshev as ncheb
 
-from .baseflow import HA_FLOOR, BaseFlowSample, check_sample, profile_for
+from .baseflow import BaseFlowSample, check_sample, profile_for
 from .errors import (ConsistencyError, NumericalError, ParameterError,
                      VerificationError)
 from .spectral import SpectralOperator, build_operator
@@ -316,15 +317,16 @@ def _fd_matrices(params, a, M):
 
     The advective block is assembled in the symmetrized form
     i a (U' D + D U'), which is the same operator after integration by
-    parts and keeps the discrete matrix exactly Hermitian.
+    parts and keeps the discrete matrix exactly Hermitian.  The magnetic
+    unknown is Ha l, in which both fields carry the same energy block at
+    every Ha > 0 and the coupling carries the factor Ha Pm, so the pencil
+    has the same top eigenvalue as in l and stays well scaled as Ha -> 0.
     """
     import scipy.sparse as sp
 
     h = 2.0 / (M + 1)
     z = -1.0 + h * np.arange(1, M + 1)
     smp = profile_for(params, z)
-    A = params.A
-    Ha = params.Ha
     e = np.ones(M)
     D1 = sp.diags([-e[:-1], e[:-1]], [-1, 1]) / (2.0 * h)
     D2 = sp.diags([e[:-1], -2.0 * e, e[:-1]], [-1, 0, 1]) / h**2
@@ -336,24 +338,27 @@ def _fd_matrices(params, a, M):
     S = (D4 - 2.0 * a * a * D2 + a**4 * sp.eye(M)).tocsr()
     dU = sp.diags(smp.Uprime)
     T = 1j * a * (dU @ D1 + D1 @ dU)
-    if params.Ha < HA_FLOOR:
-        L, Mm = T, S
-    else:
-        C = 1j * a * A * sp.diags(smp.Bsecond)
-        T2 = 1j * a * A * (dU @ D1 + D1 @ dU)
-        L = sp.bmat([[T, -C], [C, -T2]])
-        Mm = sp.bmat([[S, None], [None, Ha * Ha * S]])
+    C = 1j * a * params.Ha * params.Pm * sp.diags(smp.Bsecond)
+    L = sp.bmat([[T, -C], [C, -params.Pm * T]])
+    Mm = sp.bmat([[S, None], [None, S]])
     return (-0.5 * L).tocsc(), Mm.tocsc()
 
 
 def _dense_work(S):
     """Dense Fortran-ordered copy of a sparse matrix for LAPACK to overwrite.
 
-    toarray clears the supplied buffer, so every page of it is written and
-    the resident size no longer depends on which pages the sparse entries
-    touch (or on whether the kernel backs the buffer with huge pages).
+    The buffer is a private anonymous mapping rather than a NumPy
+    allocation: it is unmapped when the array is freed, so the
+    several-megabyte buffers of successive oracles are never left in the
+    heap, and NumPy does not mark them for huge pages; with heap buffers the
+    peak resident size of a verify run varied by about one buffer from run
+    to run.  toarray clears the buffer, so every page of it is written and
+    the resident size does not depend on which pages the sparse entries
+    touch.
     """
-    return S.toarray(out=np.empty(S.shape, dtype=S.dtype, order="F"))
+    buf = mmap.mmap(-1, S.shape[0] * S.shape[1] * np.dtype(S.dtype).itemsize)
+    out = np.frombuffer(buf, dtype=S.dtype).reshape(S.shape, order="F")
+    return S.toarray(out=out)
 
 
 def _fd_max_m(params, a, M, m_near=None):

@@ -13,13 +13,12 @@ def test_params_derived_coupling():
     assert p.A == 3.0 * 3.0 * 0.2
 
 
-def test_params_allows_vanishing_coupling():
-    # the parameter set itself admits Ha = 0 (A = 0 exactly); the profile
-    # evaluators are the ones that demand a strictly positive Ha
-    p = Params(flow="couette", Ha=0.0, Pm=0.1)
-    assert p.A == 0.0
-    with pytest.raises(ParameterError):
-        couette_profile(0.0, np.linspace(-1.0, 1.0, 5))
+def test_params_rejects_zero_hartmann_number():
+    # every profile needs Ha > 0, and so does restoring the magnetic field
+    # from its rescaled form Ha l, so the parameter set refuses Ha = 0
+    # with the message the profile evaluators give
+    with pytest.raises(ParameterError, match="Ha must be finite and > 0"):
+        Params(flow="couette", Ha=0.0, Pm=0.1)
 
 
 @pytest.mark.parametrize("kwargs", [

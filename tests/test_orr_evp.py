@@ -31,7 +31,7 @@ HYDRO_ANCHORS = {
 
 def test_mass_matrix_symmetric_positive_definite(wb):
     pen = wb.pencil("couette", 1.0, 1.0, N=50)
-    M = pen.Mmat
+    M = pen.S
     assert np.isrealobj(M)
     assert np.array_equal(M, M.T)
     assert np.linalg.eigvalsh(M).min() > 0
@@ -47,7 +47,7 @@ def test_reassembly_is_deterministic(wb):
     p1 = wb.pencil("hartmann", 10.0, 1.7, N=40)
     p2 = wb.pencil("hartmann", 10.0, 1.7, N=40)
     assert np.array_equal(p1.Lmat, p2.Lmat)
-    assert np.array_equal(p1.Mmat, p2.Mmat)
+    assert np.array_equal(p1.S, p2.S)
 
 
 def test_wavenumber_enters_only_through_stated_factors(wb):
@@ -63,8 +63,7 @@ def test_wavenumber_enters_only_through_stated_factors(wb):
     Q0 = mp.inject.T @ (qw[:, None] * mp.inject)
     want = (6.0 * a * a * 0.5 * (Q1 + Q1.T)
             + 15.0 * a**4 * 0.5 * (Q0 + Q0.T))
-    nm = Q1.shape[0]
-    got = p2.Mmat[:nm, :nm] - p1.Mmat[:nm, :nm]
+    got = p2.S - p1.S
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
@@ -72,12 +71,13 @@ def test_zero_coupling_strength_decouples_magnetic_field(wb):
     op = wb.op(40)
     mp = wb.maps(40)
     sample = wb.sample("couette", 1.0, 40)
-    L, M, dM = _blocks(sample, 1.2, op.qweights, mp, 0.0, 1.0, coupled=True)
+    # Ha = 0 removes the coupling; with Pm < 1 the top mode stays in the
+    # velocity sector
+    L, S, dS = _blocks(sample, 1.2, op.qweights, mp, 0.0, 0.1)
     nm = mp.inject.shape[1]
     assert not np.any(L[:nm, nm:]) and not np.any(L[nm:, :nm])
-    pen = EvpPencil(a=1.2, Lmat=L, Mmat=M, dMmat=dM,
-                    params=wb.params("couette", 1.0), N=40, hydro=False,
-                    maps=mp)
+    pen = EvpPencil(a=1.2, Lmat=L, S=S, dS=dS,
+                    params=wb.params("couette", 1.0), N=40, maps=mp)
     sol = mhdes.solve_max_m(pen)
     assert np.max(np.abs(sol.l_hat)) <= 1e-10 * np.max(np.abs(sol.w_hat))
 
@@ -92,16 +92,19 @@ def test_solve_properties(wb):
 
 
 @pytest.mark.parametrize("flow", ["couette", "hartmann"])
-@pytest.mark.parametrize("Ha", [1e-6, 10.0, 300.0])
-def test_slope_matches_central_difference(wb, flow, Ha):
+@pytest.mark.parametrize(
+    "Ha,Pm", [(1e-6, 0.1), (10.0, 0.1), (300.0, 0.1), (1e-6, 1.0), (1e-6, 10.0)],
+    ids=["1e-06", "10.0", "300.0", "1e-06-Pm1", "1e-06-Pm10"])
+def test_slope_matches_central_difference(wb, flow, Ha, Pm):
     # the Hellmann-Feynman slope the minimizer follows, against a central
-    # difference of m; Ha = 1e-6 takes the single-field path
+    # difference of m; at Ha = 1e-6 the top mode is the velocity sector's
+    # for Pm < 1 and the magnetic sector's for Pm > 1, and at Pm = 1 the
+    # two sectors' top eigenvalues coincide up to the coupling
     for a in (0.5, 1.2, 5.0, 20.0):
-        sol = wb.solution(flow, Ha, a)
-        assert wb.pencil(flow, Ha, a).hydro == (Ha < 1e-4)
+        sol = wb.solution(flow, Ha, a, Pm=Pm)
         h = 1e-4 * a
-        fd = (wb.solution(flow, Ha, a + h).m
-              - wb.solution(flow, Ha, a - h).m) / (2.0 * h)
+        fd = (wb.solution(flow, Ha, a + h, Pm=Pm).m
+              - wb.solution(flow, Ha, a - h, Pm=Pm).m) / (2.0 * h)
         assert abs(sol.dm_da - fd) <= 1e-6 * abs(fd)
 
 
@@ -126,20 +129,27 @@ def test_classical_wall_driven_threshold_in_gap_units(wb):
     assert abs(sol.Re_a - 44.3) <= 0.01 * 44.3
 
 
-def test_hydro_reduction_matches_coupled_solve(wb):
-    op = wb.op(60)
-    mp = wb.maps(60)
-    params = wb.params("couette", 1e-6)
-    sample = wb.sample("couette", 1e-6, 60)
-    small = mhdes.assemble_pencil(params, 1.21, op, sample, mp)
-    full = mhdes.assemble_pencil(params, 1.21, op, sample, mp,
-                                 force_coupled=True)
-    assert small.hydro and not full.hydro
-    assert full.Lmat.shape[0] == 2 * small.Lmat.shape[0]
-    s1 = mhdes.solve_max_m(small)
-    s2 = mhdes.solve_max_m(full)
-    assert abs(s1.m - s2.m) <= 1e-8 * s1.m
-    assert not np.any(s1.l_hat)
+@pytest.mark.parametrize("flow,a", sorted(HYDRO_ANCHORS))
+@pytest.mark.parametrize("Pm", [0.1, 2.0, 10.0])
+def test_vanishing_coupling_limit_is_the_larger_sector(wb, flow, a, Pm):
+    # as Ha -> 0 the magnetic sector keeps its own production, Pm times the
+    # velocity sector's, so m tends to max(1, Pm) times the hydro value
+    sol = wb.solution(flow, 1e-8, a, Pm=Pm)
+    ref = HYDRO_ANCHORS[(flow, a)] / max(1.0, Pm)
+    assert abs(sol.Re_a - ref) <= 1e-6 * ref
+
+
+@pytest.mark.parametrize("Pm", [0.1, 2.0, 10.0])
+def test_threshold_is_continuous_at_small_hartmann_number(wb, Pm):
+    # one pencil at every Ha: no jump across the base-flow series switch
+    below = mhdes.minimize_over_a(wb.params("couette", 1e-5, Pm), 0.2, 4.0,
+                                  N=60)
+    above = mhdes.minimize_over_a(wb.params("couette", 2e-4, Pm), 0.2, 4.0,
+                                  N=60)
+    assert below.converged and above.converged
+    assert abs(below.Re_E - above.Re_E) <= 1e-6 * above.Re_E
+    ref = HYDRO_ANCHORS[("couette", 1.8934)] / max(1.0, Pm)
+    assert abs(above.Re_E - ref) <= 1e-4
 
 
 def test_wavenumber_sign_symmetry(wb):
@@ -218,12 +228,14 @@ def test_solve_rejects_non_hermitian_or_indefinite_pencil(wb):
     # a wrong eigenvalue; each case reaches a different guard
     rng = np.random.default_rng(3)
     n = 10
-    X = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    X = (rng.standard_normal((2 * n, 2 * n))
+         + 1j * rng.standard_normal((2 * n, 2 * n)))
     Xr = X.real
+    B = Xr[:n, :n]
 
-    def pencil(L, M):
-        return EvpPencil(a=1.0, Lmat=L, Mmat=M, dMmat=np.zeros((n, n)),
-                         params=wb.params("couette", 1.0), N=13, hydro=True,
+    def pencil(L, S):
+        return EvpPencil(a=1.0, Lmat=L, S=S, dS=np.zeros((n, n)),
+                         params=wb.params("couette", 1.0), N=13,
                          maps=wb.maps(13))
 
     with pytest.raises(NumericalError, match="not Hermitian"):
@@ -234,21 +246,19 @@ def test_solve_rejects_non_hermitian_or_indefinite_pencil(wb):
         mhdes.solve_max_m(pencil(X + X.conj().T, np.eye(n)))
     with pytest.raises(NumericalError, match="purely imaginary"):
         mhdes.solve_max_m(pencil(1j * (Xr - Xr.T),
-                                 np.eye(n) + 0.1j * (Xr - Xr.T)))
+                                 np.eye(n) + 0.1j * (B - B.T)))
 
 
 def test_pencil_is_purely_imaginary_over_real(wb):
     # the real solve rests on this structure of the assembled pencil
     for flow in ("couette", "hartmann"):
         op, mp = wb.op(40), wb.maps(40)
-        for Ha, coupled in ((1e-6, False), (1e-6, True), (10.0, False)):
+        for Ha in (1e-6, 10.0):
             params = wb.params(flow, Ha)
             pen = mhdes.assemble_pencil(params, 1.2, op,
-                                        wb.sample(flow, Ha, 40), mp,
-                                        force_coupled=coupled)
-            assert pen.hydro == (Ha < 1e-4 and not coupled)
+                                        wb.sample(flow, Ha, 40), mp)
             assert not np.any(pen.Lmat.real)
-            assert np.isrealobj(pen.Mmat)
+            assert np.isrealobj(pen.S)
 
 
 @pytest.mark.parametrize("flow", ["couette", "hartmann"])
@@ -260,7 +270,7 @@ def test_real_solve_matches_hermitian_reference(wb, flow, N):
         for a in (0.3, 1.2, 20.0):
             pen = wb.pencil(flow, Ha, a, N=N)
             n = pen.Lmat.shape[0]
-            ref = sla.eigh(-0.5 * pen.Lmat, pen.Mmat,
+            ref = sla.eigh(-0.5 * pen.Lmat, np.kron(np.eye(2), pen.S),
                            subset_by_index=[n - 1, n - 1],
                            eigvals_only=True)[0]
             sol = mhdes.solve_max_m(pen)

@@ -122,11 +122,6 @@ def test_clamped_maps_reproduce_polynomial_derivatives(wb):
         assert np.max(np.abs(tab @ pint - want)) <= 1e-9 * scale
 
 
-def test_basis_conditioning_reported(wb):
-    mp = wb.maps(60)
-    assert np.isfinite(mp.basis_cond) and mp.basis_cond >= 1.0
-
-
 def test_clamped_restrict_rejects_other_inputs():
     with pytest.raises(ParameterError):
         clamped_restrict(np.eye(5))

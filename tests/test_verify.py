@@ -148,6 +148,24 @@ def test_understated_claim_is_falsified(wb):
     json.dumps(report)  # must be serializable as shipped
 
 
+def test_magnetic_sector_field_stays_below_small_hartmann_claim(wb):
+    # as Ha -> 0 a field with l alone produces Pm times what the same shape
+    # produces as w, so the conjugate of the Pm = 0.1 velocity eigenfield,
+    # injected as l, reaches 10 times the hydro ratio at Pm = 10; the claim
+    # must be that larger value, and the FD oracle must agree with it
+    a = 1.8934
+    hydro = wb.solution("couette", 1e-5, a, Pm=0.1)
+    fld = mhdes.make_trial_field(a, np.zeros_like(hydro.w_hat),
+                                 np.conj(hydro.w_hat), wb.op(60))
+    params = wb.params("couette", 1e-5, Pm=10.0)
+    sol = wb.solution("couette", 1e-5, a, Pm=10.0)
+    report = mhdes.random_trial_bound(params, a, sol.m, trials=100, seed=0,
+                                      inject=(fld,))
+    assert abs(report["max_ratio"] - sol.m) <= 1e-6 * sol.m
+    assert abs(sol.m - 10.0 * hydro.m) <= 1e-6 * sol.m
+    assert abs(mhdes.fd_oracle(params, a, M=300) - sol.m) <= 5e-3 * sol.m
+
+
 @pytest.mark.parametrize("flow, Ha", [("couette", 1.0), ("hartmann", 10.0)])
 def test_batched_trials_match_per_field_loop(wb, flow, Ha):
     # the batch draws the per-field stream bit for bit, evaluates the same
