@@ -77,17 +77,17 @@ class RunConfig:
     def __post_init__(self):
         if self.flow not in FLOWS:
             raise ParameterError(f"flow must be one of {FLOWS}, got {self.flow!r}")
-        ha = tuple(float(v) for v in self.Ha_list)
-        if len(ha) == 0:
-            raise ParameterError("Ha_list must be nonempty")
-        if not all(np.isfinite(v) and v > 0 for v in ha):
-            raise ParameterError("Ha_list entries must be finite and > 0")
-        object.__setattr__(self, "Ha_list", ha)
         for name in ("Pm", "a_min", "a_max"):
             v = float(getattr(self, name))
             if not np.isfinite(v) or v <= 0:
                 raise ParameterError(f"{name} must be finite and > 0, got {v}")
             object.__setattr__(self, name, v)
+        ha = tuple(float(v) for v in self.Ha_list)
+        if len(ha) == 0:
+            raise ParameterError("Ha_list must be nonempty")
+        for v in ha:
+            Params(flow=self.flow, Ha=v, Pm=self.Pm)  # the one Ha check
+        object.__setattr__(self, "Ha_list", ha)
         if not self.a_min < self.a_max:
             raise ParameterError(
                 f"need a_min < a_max, got [{self.a_min}, {self.a_max}]")

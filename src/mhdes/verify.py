@@ -9,9 +9,9 @@ what the acceptance tests certify, so the two implementations must never
 be collapsed into one.
 """
 
+import gc
 import logging
 import math
-import mmap
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,8 +28,9 @@ TRIAL_RTOL = 1e-6
 DECAY_SLACK = 1e-10
 POINCARE_SLACK = 1e-8
 POINCARE_BOUND = math.pi * math.pi / 4.0
-FD_DENSE_LIMIT = 1000
-FD_COARSE_M = 400
+FD_KD = 4
+FD_SHIFT = 1.05
+_FD_BRACKET_STEPS = 64
 _FD_SEED = 12345
 
 
@@ -309,7 +310,7 @@ def poincare_check(field, op):
 # ---------------------------------------------------------------------------
 # Finite-difference oracle
 # ---------------------------------------------------------------------------
-# SciPy is imported inside the two FD helpers, its only users, so importing
+# SciPy is imported inside the FD helpers, its only users, so importing
 # mhdes or running the spectral solver never loads it.
 
 def _fd_matrices(params, a, M):
@@ -321,6 +322,9 @@ def _fd_matrices(params, a, M):
     unknown is Ha l, in which both fields carry the same energy block at
     every Ha > 0 and the coupling carries the factor Ha Pm, so the pencil
     has the same top eigenvalue as in l and stays well scaled as Ha -> 0.
+    The unknowns are interleaved node by node, (w_1, Ha l_1, w_2, ...), so
+    both matrices are Hermitian banded with FD_KD superdiagonals: the
+    five-point energy stencil reaches two nodes, four rows, away.
     """
     import scipy.sparse as sp
 
@@ -335,75 +339,113 @@ def _fd_matrices(params, a, M):
     main4[-1] += 1.0
     D4 = sp.diags([e[:-2], -4.0 * e[:-1], main4, -4.0 * e[:-1], e[:-2]],
                   [-2, -1, 0, 1, 2]) / h**4
-    S = (D4 - 2.0 * a * a * D2 + a**4 * sp.eye(M)).tocsr()
+    S = D4 - 2.0 * a * a * D2 + a**4 * sp.eye(M)
     dU = sp.diags(smp.Uprime)
     T = 1j * a * (dU @ D1 + D1 @ dU)
     C = 1j * a * params.Ha * params.Pm * sp.diags(smp.Bsecond)
-    L = sp.bmat([[T, -C], [C, -params.Pm * T]])
-    Mm = sp.bmat([[S, None], [None, S]])
-    return (-0.5 * L).tocsc(), Mm.tocsc()
+    # node-major Kronecker products interleave the 2 x 2 field blocks
+    # [[T, -C], [C, -Pm T]] and [[S, 0], [0, S]]
+    L = (sp.kron(T, np.diag([1.0, -params.Pm]))
+         + sp.kron(C, np.array([[0.0, -1.0], [1.0, 0.0]])))
+    return (-0.5 * L).tocsr(), sp.kron(S, np.eye(2)).tocsr()
 
 
-def _dense_work(S):
-    """Dense Fortran-ordered copy of a sparse matrix for LAPACK to overwrite.
+def _fd_bands(A):
+    """LAPACK upper band storage of an interleaved FD pencil matrix: row
+    FD_KD - k holds the k-th superdiagonal, right-aligned."""
+    ab = np.zeros((FD_KD + 1, A.shape[0]), dtype=A.dtype)
+    for k in range(FD_KD + 1):
+        ab[FD_KD - k, k:] = A.diagonal(k)
+    return ab
 
-    The buffer is a private anonymous mapping rather than a NumPy
-    allocation: it is unmapped when the array is freed, so the
-    several-megabyte buffers of successive oracles are never left in the
-    heap, and NumPy does not mark them for huge pages; with heap buffers the
-    peak resident size of a verify run varied by about one buffer from run
-    to run.  toarray clears the buffer, so every page of it is written and
-    the resident size does not depend on which pages the sparse entries
-    touch.
+
+def _fd_factor(Lb, Mb, sigma):
+    """Banded Cholesky factor of sigma Mm - Lh, or None if it has none.
+
+    Mm is positive definite, so by Sylvester's law of inertia the factor
+    exists exactly when sigma lies above every eigenvalue of the pencil.
     """
-    buf = mmap.mmap(-1, S.shape[0] * S.shape[1] * np.dtype(S.dtype).itemsize)
-    out = np.frombuffer(buf, dtype=S.dtype).reshape(S.shape, order="F")
-    return S.toarray(out=out)
+    from scipy.linalg import LinAlgError, cholesky_banded
+
+    try:
+        return cholesky_banded(sigma * Mb - Lb, check_finite=False)
+    except LinAlgError:
+        return None
+
+
+def _fd_bracket_shift(Lb, Mb, M):
+    """A shift above the top eigenvalue by at most the factor FD_SHIFT,
+    with its factor, from Cholesky attempts alone.
+
+    Factor-of-two steps from 1 find a shift without a factor (below the
+    top eigenvalue) and one with (above it), and geometric bisection
+    narrows that bracket to the ratio FD_SHIFT.  The top eigenvalue is
+    positive, since the pencil's spectrum is symmetric about zero.
+    """
+    lo, hi, c = 0.0, math.inf, None
+    sigma = 1.0
+    for _ in range(_FD_BRACKET_STEPS):
+        f = _fd_factor(Lb, Mb, sigma)
+        if f is None:
+            lo = sigma
+        else:
+            hi, c = sigma, f
+        if hi <= FD_SHIFT * lo:
+            return hi, c
+        if hi == math.inf:
+            sigma = 2.0 * lo
+        elif lo == 0.0:
+            sigma = 0.5 * hi
+        else:
+            sigma = math.sqrt(lo * hi)
+    raise NumericalError(f"FD pencil at M={M}: no shift bracket in "
+                         f"{_FD_BRACKET_STEPS} Cholesky attempts from 1")
 
 
 def _fd_max_m(params, a, M, m_near=None):
     """Largest eigenvalue of the FD pencil at one grid size.
 
-    Small problems go through the dense symmetric solver, which computes
-    the top eigenvalue only.  Larger ones use shift-invert Lanczos seeded
-    deterministically, with the shift placed a safe 5% above m_near, an
-    estimate of that eigenvalue (without one, a dense solve at
-    FD_COARSE_M), and the returned eigenpair is polished by an exact
-    Rayleigh quotient of the sparse matrices (the factorization alone
-    degrades as the mass matrix norm grows like h^-4).  A quotient not
-    below the shift raises NumericalError: with the shift at or below the
-    top eigenvalue, shift-invert returns the eigenvalue nearest the shift,
-    which can be an interior one.  The guard catches a shift just below
-    the top eigenvalue; one far below it can land on an interior
-    eigenvalue below the shift unnoticed, so m_near must estimate the top
-    eigenvalue itself.
+    Shift-invert Lanczos, seeded deterministically, through a banded
+    Cholesky factor of sigma Mm - Lh.  The factor certifies that sigma
+    lies above every eigenvalue (_fd_factor), so the eigenvalue nearest
+    the shift is the top one.  sigma is FD_SHIFT times m_near, an
+    estimate of that eigenvalue, and a shift without a factor raises
+    NumericalError; without an estimate, Cholesky attempts bracket the top
+    eigenvalue to within FD_SHIFT (_fd_bracket_shift).  The returned
+    eigenvector is polished by an exact Rayleigh quotient of the sparse
+    matrices, since the factored solve alone degrades as the mass matrix
+    norm grows like h^-4.
     """
-    import scipy.linalg as sla
     import scipy.sparse.linalg as spla
+    from scipy.linalg import cho_solve_banded
 
     Lh, Mm = _fd_matrices(params, a, M)
-    n = Lh.shape[0]
-    if n <= FD_DENSE_LIMIT:
-        vals = sla.eigh(_dense_work(Lh), _dense_work(Mm.astype(complex)),
-                        eigvals_only=True, subset_by_index=[n - 1, n - 1],
-                        overwrite_a=True, overwrite_b=True)
-        return float(vals[-1])
+    Lb, Mb = _fd_bands(Lh), _fd_bands(Mm)
     if m_near is None:
-        m_near = _fd_max_m(params, a, FD_COARSE_M)
-    sigma = 1.05 * m_near
+        sigma, c = _fd_bracket_shift(Lb, Mb, M)
+    else:
+        sigma = FD_SHIFT * m_near
+        c = _fd_factor(Lb, Mb, sigma)
+        if c is None:
+            raise NumericalError(
+                f"FD shift {sigma:.6e} at M={M} is not above the top "
+                "eigenvalue: sigma Mm - Lh has no Cholesky factor")
+    n = Lh.shape[0]
+    # eigsh wants (Lh - sigma Mm)^-1, the negative of the factored inverse
+    opinv = spla.LinearOperator(
+        (n, n), dtype=complex,
+        matvec=lambda x: -cho_solve_banded((c, False), x, check_finite=False))
     rng = np.random.default_rng(_FD_SEED)
     v0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    vals, vecs = spla.eigsh(Lh, k=3, M=Mm, sigma=sigma, which="LM", v0=v0,
-                            maxiter=5000)
-    q = vecs[:, int(np.argmax(vals))]
-    num = float(np.vdot(q, Lh @ q).real)
-    den = float(np.vdot(q, Mm @ q).real)
-    m = num / den
-    if not m < sigma:
-        raise NumericalError(
-            f"FD shift {sigma:.6e} at M={M} is not above the eigenvalue "
-            f"{m:.6e} it found; shift-invert may have missed the top one")
-    return m
+    _, vecs = spla.eigsh(Lh, k=1, M=Mm, sigma=sigma, which="LM", v0=v0,
+                         OPinv=opinv, maxiter=5000)
+    # eigsh's ARPACK state holds a closure over itself; the cycle keeps the
+    # matrices, the factor and the Lanczos basis alive until the cyclic
+    # collector runs, and successive oracles would stack them in the peak
+    # resident size.  The young generations still hold it: free it now.
+    gc.collect(1)
+    q = vecs[:, 0]
+    return float(np.vdot(q, Lh @ q).real) / float(np.vdot(q, Mm @ q).real)
 
 
 def fd_oracle(params, a, M=300):
@@ -411,10 +453,12 @@ def fd_oracle(params, a, M=300):
 
     An independent check of solve_max_m: second-order central differences
     on a uniform interior grid, clamped boundaries via ghost points, the
-    same maximum-real-eigenvalue semantics, and h^2 extrapolation.  In
-    float64 the h^-4 stencil scale puts a ~1e-4 relative accuracy floor on
-    grids of several thousand cells, far inside the tolerance this oracle
-    is used to certify.
+    same maximum-real-eigenvalue semantics, and h^2 extrapolation.  Both
+    grids take the banded path of _fd_max_m: the M grid brackets its own
+    shift by Cholesky attempts, the 2M grid shifts above the M-cell value.
+    In float64 the h^-4 stencil scale puts a ~1e-4 relative accuracy floor
+    on grids of several thousand cells, far inside the tolerance this
+    oracle is used to certify.
     """
     if not np.isfinite(a) or a <= 0:
         raise ParameterError(f"wavenumber a must be finite and > 0, got {a}")

@@ -233,6 +233,8 @@ def test_bad_config_files_are_usage_errors(tmp_path):
     ("curve", "--a-min", "5", "--a-max", "1", "--n", "20"),
     ("profile", "--n", "4"),
     ("curve", "--ha", "-1", "--n", "20"),
+    ("neutral", "--ha", "0", "--n", "20"),
+    ("neutral", "--ha", "1e9", "--n", "20"),
 ])
 def test_usage_errors_exit_two(args):
     assert run_cli(*args).returncode == 2

@@ -1,10 +1,13 @@
 """Independent energy functionals, decay certificates, and the FD oracle."""
 
+import gc
 import json
 
 import numpy as np
 import numpy.polynomial.chebyshev as ncheb
 import pytest
+import scipy.linalg as sla
+import scipy.sparse as sp
 
 import mhdes
 from mhdes import verify
@@ -372,5 +375,63 @@ def test_fd_shift_below_top_eigenvalue_is_rejected(wb):
     params = wb.params("couette", 1.0)
     m = _fd_max_m(params, 1.2, 600, m_near=0.0174622)
     assert abs(m - 0.0174622) <= 1e-4 * m
-    with pytest.raises(NumericalError, match="shift"):
-        _fd_max_m(params, 1.2, 600, m_near=0.9 * m / 1.05)
+    # a shift just below the top eigenvalue, and one far below it, where
+    # shift-invert would land on an interior eigenvalue
+    for frac in (0.9, 0.5):
+        with pytest.raises(NumericalError, match="shift"):
+            _fd_max_m(params, 1.2, 600, m_near=frac * m / 1.05)
+
+
+def test_fd_solve_frees_its_solver_state_at_once(wb):
+    # eigsh's ARPACK state is a reference cycle; left to the cyclic
+    # collector, each solve's matrices and Lanczos basis would linger
+    params = wb.params("couette", 1.0)
+    _fd_max_m(params, 1.2, 600, m_near=0.0174622)
+    gc.collect()
+    _fd_max_m(params, 1.2, 600, m_near=0.0174622)
+    assert gc.collect() == 0
+
+
+FD_BAND_CASES = [("couette", 1.0), ("hartmann", 10.0)]
+
+
+@pytest.mark.parametrize("flow,Ha", FD_BAND_CASES)
+def test_fd_band_storage_rebuilds_interleaved_pencil(wb, flow, Ha):
+    for A in verify._fd_matrices(wb.params(flow, Ha), 1.2, 200):
+        ab = verify._fd_bands(A)
+        upper = sum(sp.diags(ab[verify.FD_KD - k, k:], k)
+                    for k in range(verify.FD_KD + 1))
+        rebuilt = upper + sp.triu(upper, 1).conj().T
+        assert np.array_equal(rebuilt.toarray(), A.toarray())
+
+
+def _dense_fd_top(params, a, M):
+    Lh, Mm = verify._fd_matrices(params, a, M)
+    n = Lh.shape[0]
+    return sla.eigh(Lh.toarray(), Mm.toarray(), eigvals_only=True,
+                    subset_by_index=[n - 1, n - 1])[0]
+
+
+@pytest.mark.parametrize("flow,Ha", FD_BAND_CASES)
+def test_fd_banded_top_eigenvalue_matches_dense_solve(wb, flow, Ha):
+    params = wb.params(flow, Ha)
+    m_dense = _dense_fd_top(params, 1.2, 200)
+    assert abs(_fd_max_m(params, 1.2, 200) - m_dense) <= 1e-9 * m_dense
+
+
+@pytest.mark.parametrize("flow,Ha", FD_BAND_CASES)
+def test_fd_cholesky_certifies_shift_above_top_eigenvalue(wb, flow, Ha):
+    params = wb.params(flow, Ha)
+    m = _dense_fd_top(params, 1.2, 200)
+    Lb, Mb = (verify._fd_bands(A)
+              for A in verify._fd_matrices(params, 1.2, 200))
+    assert verify._fd_factor(Lb, Mb, 1.001 * m) is not None
+    assert verify._fd_factor(Lb, Mb, 0.999 * m) is None
+
+
+def test_fd_shift_bracket_gives_up_without_a_factor(monkeypatch):
+    # a pencil with no factor at any shift (not finite, say) raises
+    # instead of stepping the shift forever
+    monkeypatch.setattr(verify, "_fd_factor", lambda Lb, Mb, sigma: None)
+    with pytest.raises(NumericalError, match="bracket"):
+        verify._fd_bracket_shift(None, None, 300)
