@@ -5,10 +5,12 @@ state, ``curve`` tabulates the threshold Reynolds number over wavenumber,
 ``neutral`` locates the minimizing wavenumber per Hartmann number, and
 ``verify`` runs the independent checks against the spectral solver.  All
 numeric output uses 17-significant-digit scientific notation and contains
-no timestamps, so reruns are byte-identical.  ``curve`` and ``neutral`` run
-the library sweeps ``reynolds_curve`` and ``neutral_sweep`` one Hartmann
-number after another; a point that fails to solve is printed as NaN and the
-remaining points are still computed.  Warnings of the library (a point
+no timestamps, so reruns at a fixed BLAS thread setting are byte-identical;
+at another thread count the last digits can differ, since BLAS sums in
+another order.  ``curve`` and ``neutral`` run the library sweeps
+``reynolds_curve`` and ``neutral_sweep`` one Hartmann number after another;
+a point that fails to solve is printed as NaN and the remaining points are
+still computed.  Warnings of the library (a point
 or a whole Hartmann number that failed) reach stderr through one logging
 handler, prefixed ``mhdes: warning:`` like the command's own messages.
 

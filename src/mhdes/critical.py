@@ -194,8 +194,10 @@ def neutral_sweep(flow, Ha_list, Pm, a_window=(0.2, 4.0), N=60,
     Each point is a minimize_over_a search over a_window (a coarse scan of
     coarse_points wavenumbers if given).  The walks are not seeded from the
     previous point, so a row does not depend on the other Hartmann numbers
-    of the sweep.  The first search checks the window before anything is
-    built, and the searches share one operator and one set of clamped maps.
+    of the sweep.  Every parameter point is validated (as a Params) before
+    the first search, the first search checks the window before anything
+    is built, and the searches share one operator and one set of clamped
+    maps.
 
     A parameter point whose search fails numerically is logged once and
     yields a NaN point flagged converged=False so the remaining sweep still
@@ -204,19 +206,17 @@ def neutral_sweep(flow, Ha_list, Pm, a_window=(0.2, 4.0), N=60,
     Ha_arr = np.atleast_1d(np.asarray(Ha_list, dtype=float))
     if Ha_arr.size == 0:
         raise ParameterError("Ha_list must be nonempty")
-    if not np.all(np.isfinite(Ha_arr)) or np.any(Ha_arr <= 0):
-        raise ParameterError("Ha_list entries must be finite and > 0")
+    points = [Params(flow=flow, Ha=float(Ha), Pm=Pm) for Ha in Ha_arr]
     a_min, a_max = a_window
     out = []
-    for Ha in Ha_arr:
-        params = Params(flow=flow, Ha=float(Ha), Pm=Pm)
+    for params in points:
         try:
             out.append(minimize_over_a(params, a_min=a_min, a_max=a_max, N=N,
                                        coarse_points=coarse_points))
         except NumericalError as exc:
             log.warning("%s Ha=%g Pm=%g: threshold search failed: %s",
-                        flow, Ha, Pm, exc)
-            out.append(NeutralPoint(flow=flow, Ha=float(Ha), Pm=float(Pm),
+                        flow, params.Ha, params.Pm, exc)
+            out.append(NeutralPoint(flow=flow, Ha=params.Ha, Pm=params.Pm,
                                     a_crit=float("nan"), Re_E=float("nan"),
                                     N_used=N, converged=False))
     return out

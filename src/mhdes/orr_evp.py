@@ -3,9 +3,9 @@
 For a single spanwise Fourier mode with wavenumber a, the largest value m
 of (production) / (primary dissipation) over clamped fields solves a
 self-adjoint generalized eigenproblem.  The two sides are realized as
-Galerkin quadratic forms on the clamped recombined basis: S is the weak
-biharmonic-minus-Laplacian energy form (D^2 - a^2)^2 of one field, and
-Lmat collects the shear and magnetic-coupling production forms.  A
+Galerkin quadratic forms on the clamped modal basis (1 - z^2)^2 T_j: S is
+the weak biharmonic-minus-Laplacian energy form (D^2 - a^2)^2 of one
+field, and Lmat collects the shear and magnetic-coupling production forms.  A
 strong-form collocation of the same blocks loses the Hermitian
 positive-definite structure that the Hermitian solve and the ratio
 identity rely on, which is why the weak realization is used.
@@ -73,7 +73,9 @@ class EvpPencil:
 class EvpSolution:
     """Largest eigenvalue m, its slope dm/da, the threshold Re_a = 1/m,
     the full-grid eigenfields, and the pencil residual of the returned
-    pair with the eigenvector at unit 2-norm."""
+    pair with the eigenvector at unit 2-norm.  The eigenvector and the
+    residual are in modal coordinates: the coefficients of the clamped
+    basis functions (1 - z^2)^2 T_j, not nodal values."""
 
     m: float
     dm_da: float

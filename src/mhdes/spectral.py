@@ -3,10 +3,11 @@
 Provides dense differentiation matrices on Chebyshev-Gauss-Lobatto nodes,
 Clenshaw-Curtis quadrature weights on the same nodes, and a clamped-boundary
 restriction built by basis recombination: the columns of the injection map
-are (1 - z^2)^2 * T_j(z), normalized so that interior nodal values act as
-the degrees of freedom.  Derivatives of the recombined basis are evaluated
-from exact Chebyshev coefficient differentiation rather than as products
-of collocation matrices, which would add rounding.
+are the modal functions (1 - z^2)^2 * T_j(z), so the degrees of freedom are
+their coefficients and column j has the parity of j.  The basis and its
+derivatives are evaluated from exact Chebyshev coefficients through one
+Chebyshev-Vandermonde matrix rather than as products of collocation
+matrices, which would add rounding.
 """
 
 from dataclasses import dataclass
@@ -40,13 +41,12 @@ class SpectralOperator:
 class ClampedMaps:
     """Restriction of the collocation operators to the clamped subspace.
 
-    inject maps N-3 interior values to full nodal vectors satisfying
-    f = f' = 0 at both walls; its rows at the interior index set are the
-    identity.  basis_d1/basis_d2 hold the first and second derivative values
-    of the same recombined basis on the full grid.
+    inject maps N-3 modal coefficients to full nodal vectors satisfying
+    f = f' = 0 at both walls: column j holds (1 - z^2)^2 * T_j(z) on the
+    nodes.  basis_d1/basis_d2 hold the first and second derivative values
+    of the same basis on the full grid.
     """
 
-    interior_idx: np.ndarray
     inject: np.ndarray
     basis_d1: np.ndarray
     basis_d2: np.ndarray
@@ -115,33 +115,26 @@ def build_operator(N):
 def clamped_restrict(op):
     """Clamped-boundary restriction maps for the given operator bundle.
 
-    The N-3 basis functions are (1 - z^2)^2 * T_j, j = 0..N-4, renormalized
-    to a cardinal set on the interior nodes (indices 2..N-2).  Wall rows of
+    The N-3 basis functions are (1 - z^2)^2 * T_j, j = 0..N-4.  Their
+    Chebyshev coefficients follow from T_j T_k = (T_{j+k} + T_{|j-k|})/2,
+    and each table is the Chebyshev-Vandermonde matrix on the nodes times
+    the coefficients (differentiated for basis_d1/basis_d2).  Wall rows of
     the value and first-derivative tables are set to their exact zeros.
     """
     if not isinstance(op, SpectralOperator):
         raise ParameterError("clamped_restrict expects a SpectralOperator")
     N = op.N
-    x = op.nodes
-    nm = N - 3
-    phi = np.array([3 / 8, 0.0, -1 / 2, 0.0, 1 / 8])  # (1-z^2)^2, Chebyshev coeffs
-    V = np.empty((N + 1, nm))
-    V1 = np.empty((N + 1, nm))
-    V2 = np.empty((N + 1, nm))
-    for j in range(nm):
-        cj = np.zeros(j + 1)
-        cj[j] = 1.0
-        pj = ncheb.chebmul(phi, cj)
-        V[:, j] = ncheb.chebval(x, pj)
-        V1[:, j] = ncheb.chebval(x, ncheb.chebder(pj, 1))
-        V2[:, j] = ncheb.chebval(x, ncheb.chebder(pj, 2))
-    for tab in (V, V1):
+    j = np.arange(N - 3)
+    P = np.zeros((N + 1, N - 3))
+    # (1-z^2)^2 = 3/8 T_0 - 1/2 T_2 + 1/8 T_4
+    for k, c in ((0, 3 / 8), (2, -1 / 2), (4, 1 / 8)):
+        P[j + k, j] += c / 2
+        P[np.abs(j - k), j] += c / 2
+    T = ncheb.chebvander(op.nodes, N)
+    R = T @ P
+    G1 = T[:, :N] @ ncheb.chebder(P, 1)
+    G2 = T[:, :N - 1] @ ncheb.chebder(P, 2)
+    for tab in (R, G1):
         tab[0, :] = 0.0
         tab[N, :] = 0.0
-    idx = np.arange(2, N - 1)
-    C = np.linalg.solve(V[idx, :], np.eye(nm))
-    R = V @ C
-    R[idx, :] = np.eye(nm)
-    G1 = V1 @ C
-    G2 = V2 @ C
-    return ClampedMaps(interior_idx=idx, inject=R, basis_d1=G1, basis_d2=G2)
+    return ClampedMaps(inject=R, basis_d1=G1, basis_d2=G2)

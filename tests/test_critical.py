@@ -231,10 +231,12 @@ def test_window_validation(wb):
         minimize_over_a(params, 0.2, 4.0, N=50, coarse_points=2)
 
 
-def test_sweep_validation():
-    with pytest.raises(ParameterError):
-        neutral_sweep("couette", [], 0.1)
-    with pytest.raises(ParameterError):
-        neutral_sweep("couette", [1.0, -2.0], 0.1)
-    with pytest.raises(ParameterError):
-        neutral_sweep("couette", [np.inf], 0.1)
+def test_sweep_validation(monkeypatch):
+    # every point is checked before the first search: none may start
+    def never(*args, **kwargs):
+        raise AssertionError("minimize_over_a called before validation")
+
+    monkeypatch.setattr(critical, "minimize_over_a", never)
+    for bad in ([], [1.0, -2.0], [np.inf], [1.0, 1e9]):
+        with pytest.raises(ParameterError):
+            neutral_sweep("couette", bad, 0.1)

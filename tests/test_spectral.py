@@ -85,13 +85,10 @@ def test_spectral_convergence_on_smooth_function(wb):
 
 
 def test_clamped_second_derivative_example(wb):
-    op = wb.op(20)
-    mp = wb.maps(20)
-    z = op.nodes
-    p = (1.0 - z**2) ** 2 * z
+    # (1 - z^2)^2 z is the basis function of T_1, column 1
+    z = wb.op(20).nodes
     want = -12.0 * z + 20.0 * z**3
-    got = mp.basis_d2[mp.interior_idx] @ p[mp.interior_idx]
-    assert np.max(np.abs(got - want[mp.interior_idx])) <= 1e-8
+    assert np.max(np.abs(wb.maps(20).basis_d2[:, 1] - want)) <= 1e-8
 
 
 def test_injection_satisfies_clamped_conditions_exactly(wb):
@@ -102,11 +99,11 @@ def test_injection_satisfies_clamped_conditions_exactly(wb):
     slope = mp.basis_d1 @ vals
     assert full[0] == 0.0 and full[-1] == 0.0
     assert slope[0] == 0.0 and slope[-1] == 0.0
-    assert np.array_equal(full[mp.interior_idx], vals)
 
 
 def test_clamped_maps_reproduce_polynomial_derivatives(wb):
-    # p = (1-z^2)^2 q with random q of admissible degree
+    # p = (1-z^2)^2 q with random q of admissible degree; the tables act on
+    # the Chebyshev coefficients of q
     N = 30
     op = wb.op(N)
     mp = wb.maps(N)
@@ -114,12 +111,20 @@ def test_clamped_maps_reproduce_polynomial_derivatives(wb):
     q = rng.standard_normal(N - 3)  # degree N-4 coefficients
     phi = np.array([3 / 8, 0.0, -1 / 2, 0.0, 1 / 8])
     pc = ncheb.chebmul(phi, q)
-    p = ncheb.chebval(op.nodes, pc)
-    pint = p[mp.interior_idx]
-    for order, tab in ((1, mp.basis_d1), (2, mp.basis_d2)):
+    for order, tab in ((0, mp.inject), (1, mp.basis_d1), (2, mp.basis_d2)):
         want = ncheb.chebval(op.nodes, ncheb.chebder(pc, order))
         scale = np.max(np.abs(want)) + 1.0
-        assert np.max(np.abs(tab @ pint - want)) <= 1e-9 * scale
+        assert np.max(np.abs(tab @ q - want)) <= 1e-9 * scale
+
+
+@pytest.mark.parametrize("N", [20, 61])
+def test_clamped_columns_have_the_parity_of_their_index(wb, N):
+    # column j is even or odd with j; its first derivative the opposite
+    mp = wb.maps(N)
+    sign = (-1.0) ** np.arange(N - 3)
+    for tab, s in ((mp.inject, 1.0), (mp.basis_d1, -1.0), (mp.basis_d2, 1.0)):
+        tol = 1e-14 * np.max(np.abs(tab), axis=0)
+        assert np.all(np.abs(tab[::-1] - s * sign * tab) <= tol)
 
 
 def test_clamped_restrict_rejects_other_inputs():
