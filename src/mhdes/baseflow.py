@@ -5,10 +5,13 @@ U = z without a magnetic field, and the pressure-driven state that reduces
 to U = 1 - z^2.  Both are written in exponentially rescaled form so that
 evaluation stays finite and accurate at large Hartmann number, and grouped
 so the defining identities (U'' = Ha^2 U + const, B'' = -U') and the wall
-values hold to machine precision.  Below HA_FLOOR the closed-form small-Ha
-limits are used.
+values hold to machine precision.  Below HA_FLOOR, where the exponential
+forms cancel, the same closed forms are summed as Taylor series in Ha^2
+divided through by their leading power, which hold every field to
+rounding for all Ha > 0.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,8 +19,13 @@ import numpy as np
 from .errors import ConsistencyError, ParameterError
 
 FLOWS = ("couette", "hartmann")
-HA_FLOOR = 1e-4
+HA_FLOOR = 1.0
 HA_CEIL = 1e8
+# Taylor coefficients in x^2 of (cosh x - 1)/x^2 and (sinh(x)/x - 1)/x^2,
+# highest power first; the first omitted term is below 1e-18 for
+# x <= HA_FLOOR
+_SERIES_COEF = [(1.0 / math.factorial(2 * j + 2),
+                 1.0 / math.factorial(2 * j + 3)) for j in reversed(range(9))]
 
 
 @dataclass(frozen=True)
@@ -80,6 +88,15 @@ def _check_profile_args(Ha, z):
     return float(Ha), z
 
 
+def _series(t):
+    """(cosh x - 1)/x^2 and (sinh(x)/x - 1)/x^2 at t = x^2 by Horner's
+    rule, to rounding for t below HA_FLOOR^2."""
+    c = s = 0.0
+    for cj, sj in _SERIES_COEF:
+        c, s = c * t + cj, s * t + sj
+    return c, s
+
+
 def couette_profile(Ha, z):
     """Wall-driven base state at Hartmann number Ha on nodes z.
 
@@ -90,12 +107,15 @@ def couette_profile(Ha, z):
     """
     Ha, z = _check_profile_args(Ha, z)
     if Ha < HA_FLOOR:
-        U = z.copy()
-        Uprime = np.ones_like(z)
-        Usecond = Ha * Ha * U
-        Bbar = 0.5 * (1.0 - z * z)
-        Bprime = -U
-        Bsecond = -Uprime
+        # U = sinh(Ha z)/sinh(Ha), U' = Ha cosh(Ha z)/sinh(Ha) and
+        # Bbar = (cosh Ha - cosh(Ha z))/(Ha sinh Ha) as series in Ha^2
+        h = Ha * Ha
+        c, s = _series(h * z * z)
+        ch, sh = _series(h)
+        Sh = 1.0 + h * sh
+        U = z * (1.0 + h * z * z * s) / Sh
+        Uprime = (1.0 + h * z * z * c) / Sh
+        Bbar = (ch - z * z * c) / Sh
     else:
         y = np.abs(z)
         s = np.sign(z)
@@ -103,10 +123,12 @@ def couette_profile(Ha, z):
         E1 = np.exp(Ha * (y - 1.0))
         U = s * E1 * (-np.expm1(-2.0 * Ha * y)) / den
         Uprime = Ha * E1 * (1.0 + np.exp(-2.0 * Ha * y)) / den
-        Usecond = Ha * Ha * U
-        Bbar = ((1.0 - E1) + (np.exp(-2.0 * Ha) - np.exp(-Ha * (y + 1.0)))) / (Ha * den)
-        Bprime = -U
-        Bsecond = -Uprime
+        # cosh Ha - cosh(Ha z) = e^Ha (1 - e^-Ha(1-y)) (1 - e^-Ha(1+y)) / 2
+        Bbar = (np.expm1(-Ha * (1.0 - y)) / Ha) * (np.expm1(-Ha * (1.0 + y))
+                                                   / den)
+    Usecond = Ha * Ha * U
+    Bprime = -U
+    Bsecond = -Uprime
     return BaseFlowSample(flow="couette", Ha=Ha, z=z, U=U, Uprime=Uprime,
                           Usecond=Usecond, Bbar=Bbar, Bprime=Bprime,
                           Bsecond=Bsecond)
@@ -121,16 +143,17 @@ def hartmann_profile(Ha, z):
     """
     Ha, z = _check_profile_args(Ha, z)
     if Ha < HA_FLOOR:
-        U = 1.0 - z * z
-        Uprime = -2.0 * z
-        # series for 2*cosh(Ha)/((cosh Ha - 1)/(Ha^2/2)); keeps the
-        # U'' - Ha^2 U residual an exact constant in this branch too
-        c2s = 1.0 + Ha * Ha / 12.0 * (1.0 + Ha * Ha / 30.0)
-        K = 2.0 * np.cosh(Ha) / c2s
-        Usecond = Ha * Ha * U - K
-        Bbar = (z * z * z - z) / 3.0
-        Bprime = z * z - 1.0 / 3.0
-        Bsecond = -Uprime
+        # U = (cosh Ha - cosh(Ha z))/(cosh Ha - 1), U'' - Ha^2 U = -K and
+        # Bbar = (sinh(Ha z) - z sinh Ha)/(Ha (cosh Ha - 1)) as series in
+        # Ha^2, each divided through by Ha^2 so nothing cancels
+        h = Ha * Ha
+        c, s = _series(h * z * z)
+        ch, sh = _series(h)
+        U = (ch - z * z * c) / ch
+        Uprime = -z * (1.0 + h * z * z * s) / ch
+        Usecond = h * U - (1.0 + h * ch) / ch
+        Bbar = z * (z * z * s - sh) / ch
+        Bprime = (z * z * c - sh) / ch
     else:
         y = np.abs(z)
         s = np.sign(z)
@@ -138,12 +161,12 @@ def hartmann_profile(Ha, z):
         E1 = np.exp(Ha * (y - 1.0))
         E2 = np.exp(-Ha * (y + 1.0))
         Em = np.exp(-2.0 * Ha)
-        U = ((1.0 - E1) + (Em - E2)) / den
+        U = np.expm1(-Ha * (1.0 - y)) * np.expm1(-Ha * (1.0 + y)) / den
         Uprime = -s * Ha * (E1 - E2) / den
         Usecond = -Ha * Ha * (E1 + E2) / den
         Bbar = s * ((E1 - y) + (y * Em - E2)) / (Ha * den)
         Bprime = (Ha * (E1 + E2) - (1.0 - Em)) / (Ha * den)
-        Bsecond = -Uprime
+    Bsecond = -Uprime
     return BaseFlowSample(flow="hartmann", Ha=Ha, z=z, U=U, Uprime=Uprime,
                           Usecond=Usecond, Bbar=Bbar, Bprime=Bprime,
                           Bsecond=Bsecond)

@@ -3,7 +3,10 @@
 Four subcommands cover the library surface: ``profile`` samples a base
 state, ``curve`` tabulates the threshold Reynolds number over wavenumber,
 ``neutral`` locates the minimizing wavenumber per Hartmann number, and
-``verify`` runs the independent checks against the spectral solver.  All
+``verify`` runs the independent checks against the spectral solver.
+Only ``curve`` takes a wavenumber grid (``--a-points``, 40 log-spaced
+points by default); ``neutral`` brackets each minimum by a slope walk
+over the window and rejects the flag like the other commands.  All
 numeric output uses 17-significant-digit scientific notation and contains
 no timestamps, so reruns at a fixed BLAS thread setting are byte-identical;
 at another thread count the last digits can differ, since BLAS sums in
@@ -42,8 +45,6 @@ PROFILE_HEADER = ("z", "U", "Uprime", "Usecond", "Bbar", "Bprime", "Bsecond")
 CURVE_HEADER = ("flow", "Ha", "Pm", "a", "Re")
 NEUTRAL_HEADER = ("flow", "Ha", "Pm", "a_crit", "Re_E", "N", "converged")
 
-CURVE_POINTS = 40
-
 VERIFY_TRIALS = 1000
 VERIFY_DECAY_FIELDS = 10
 VERIFY_FD_M = 300
@@ -70,7 +71,7 @@ class RunConfig:
     Pm: float = 0.1
     a_min: float = 0.2
     a_max: float = 4.0
-    a_points: int | None = None
+    a_points: int = 40
     N: int = 60
     seed: int = 42
     output_path: str = "-"
@@ -93,12 +94,15 @@ class RunConfig:
         if not self.a_min < self.a_max:
             raise ParameterError(
                 f"need a_min < a_max, got [{self.a_min}, {self.a_max}]")
-        for name in ("N", "seed"):
-            object.__setattr__(self, name, int(getattr(self, name)))
-        if self.a_points is not None:
-            object.__setattr__(self, "a_points", int(self.a_points))
-            if self.a_points < 1:
-                raise ParameterError("a_points must be at least 1")
+        for name in ("N", "seed", "a_points"):
+            v = getattr(self, name)
+            try:
+                object.__setattr__(self, name, int(v))
+            except (TypeError, ValueError) as exc:
+                raise ParameterError(
+                    f"{name} must be an integer, got {v!r}") from exc
+        if self.a_points < 1:
+            raise ParameterError("a_points must be at least 1")
         if not (N_MIN <= self.N <= N_MAX):
             raise ParameterError(f"N must lie in [{N_MIN}, {N_MAX}], got {self.N}")
         if self.seed < 0:
@@ -195,8 +199,7 @@ def _sweep_status(thresholds):
 
 def cmd_curve(config):
     """Tabulate Re_a over a log-spaced wavenumber grid, one block per Ha."""
-    points = CURVE_POINTS if config.a_points is None else config.a_points
-    grid = np.geomspace(config.a_min, config.a_max, points)
+    grid = np.geomspace(config.a_min, config.a_max, config.a_points)
     rows = []
     for Ha in config.Ha_list:
         params = Params(flow=config.flow, Ha=Ha, Pm=config.Pm)
@@ -212,13 +215,10 @@ def cmd_curve(config):
 
 
 def cmd_neutral(config):
-    """Locate the threshold minimum per Hartmann number.
-
-    a_points, if set, replaces the slope walk's bracket by a coarse scan.
-    """
+    """Locate the threshold minimum per Hartmann number by the slope walk
+    over [a_min, a_max]; a_points plays no part."""
     points = neutral_sweep(config.flow, config.Ha_list, config.Pm,
-                           a_window=(config.a_min, config.a_max), N=config.N,
-                           coarse_points=config.a_points)
+                           a_window=(config.a_min, config.a_max), N=config.N)
     rows = [[p.flow, p.Ha, p.Pm, p.a_crit, p.Re_E, p.N_used, p.converged]
             for p in points]
     _emit_table(config.output_path, config.format, NEUTRAL_HEADER, rows)
@@ -315,10 +315,6 @@ def build_parser():
     common.add_argument("--pm", type=float, help="magnetic Prandtl number")
     common.add_argument("--a-min", type=float, help="lower wavenumber bound")
     common.add_argument("--a-max", type=float, help="upper wavenumber bound")
-    common.add_argument("--a-points", type=int,
-                        help="wavenumber grid size of curve (default 40); "
-                        "for neutral, an opt-in coarse scan in place of the "
-                        "slope walk")
     common.add_argument("--n", type=int, help="polynomial order of the solver")
     common.add_argument("--seed", type=int, help="seed for randomized checks")
     common.add_argument("--config", help="JSON file with a RunConfig; "
@@ -328,8 +324,10 @@ def build_parser():
                         help="output format (default csv)")
     sub.add_parser("profile", parents=[common],
                    help="sample a base state on the collocation nodes")
-    sub.add_parser("curve", parents=[common],
-                   help="tabulate the threshold Reynolds number over wavenumber")
+    pc = sub.add_parser("curve", parents=[common], help="tabulate the "
+                        "threshold Reynolds number over wavenumber")
+    pc.add_argument("--a-points", type=int, help="number of log-spaced "
+                    "wavenumbers in [a-min, a-max] (default 40)")
     sub.add_parser("neutral", parents=[common],
                    help="minimize the threshold over wavenumber per Ha")
     pv = sub.add_parser("verify", parents=[common],
@@ -346,27 +344,13 @@ def _merge_config(args):
             cfg = RunConfig.from_json(fh.read())
     else:
         cfg = RunConfig()
-    overrides = {}
-    if args.flow is not None:
-        overrides["flow"] = args.flow
-    if args.ha is not None:
-        overrides["Ha_list"] = tuple(args.ha)
-    if args.pm is not None:
-        overrides["Pm"] = args.pm
-    if args.a_min is not None:
-        overrides["a_min"] = args.a_min
-    if args.a_max is not None:
-        overrides["a_max"] = args.a_max
-    if args.a_points is not None:
-        overrides["a_points"] = args.a_points
-    if args.n is not None:
-        overrides["N"] = args.n
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.out is not None:
-        overrides["output_path"] = args.out
-    if args.format is not None:
-        overrides["format"] = args.format
+    # flag name -> RunConfig field; --a-points exists for curve alone
+    fields = {"flow": "flow", "ha": "Ha_list", "pm": "Pm", "a_min": "a_min",
+              "a_max": "a_max", "a_points": "a_points", "n": "N",
+              "seed": "seed", "out": "output_path", "format": "format"}
+    overrides = {field: getattr(args, flag)
+                 for flag, field in fields.items()
+                 if getattr(args, flag, None) is not None}
     if overrides:
         cfg = dataclasses.replace(cfg, **overrides)
     return cfg

@@ -5,10 +5,9 @@ Re_a(a) = 1/m(a).  Every solve returns the slope dm/da alongside m
 (Hellmann-Feynman), so the maximum of m is located from the slope alone.
 A walk from the window's geometric midpoint, by factors of two in the
 direction the slope points, brackets the slope's sign change, and a
-safeguarded secant search refines its zero at one solve per step.  An
-opt-in log-spaced coarse scan can find the bracket instead.  The best value
-ever seen is kept, so refinement never reports a worse point than the walk
-or the scan.  A minimum that lands on the window edge is returned with
+safeguarded secant search refines its zero at one solve per step.  The
+best value ever seen is kept, so refinement never reports a worse point
+than the walk.  A minimum that lands on the window edge is returned with
 converged=False since the true minimizer may lie outside.  The operator and
 clamped maps depend on N alone, so consecutive searches at one N, such as
 the points of a Hartmann-number sweep, build them once.
@@ -51,65 +50,27 @@ def _setup(N):
     return op, clamped_restrict(op)
 
 
-def _walk(a_min, a_max, solve_at):
-    """Two (a, slope) points from a factor-two walk up the slope of m.
-
-    Starts at the window's geometric midpoint and steps by 2 (or 1/2),
-    clamped to the window, while the slope points the way of the first
-    step.  The last two points bracket the slope's zero unless the walk
-    ended at the window edge or on a failed solve.
-    """
-    a = math.sqrt(a_min * a_max)
-    cur = (a, solve_at(a)[1])
-    prev, up = cur, cur[1] > 0
-    edge = a_max if up else a_min
-    while (cur[1] > 0 if up else cur[1] < 0) and a != edge:
-        a = min(2.0 * a, a_max) if up else max(0.5 * a, a_min)
-        prev, cur = cur, (a, solve_at(a)[1])
-    return prev, cur
-
-
-def _scan(a_min, a_max, coarse_points, solve_at):
-    """Two (a, slope) points around the minimum of a log-spaced scan.
-
-    The scan minimum is paired with the neighbour its slope points to,
-    which brackets the slope's zero; a slope pointing out of the window at
-    an edge minimum pairs the edge with itself, which brackets nothing.
-    """
-    grid = np.geomspace(a_min, a_max, coarse_points).tolist()
-    vals, slopes = zip(*(solve_at(a) for a in grid))
-    i = int(np.argmin(vals))
-    j = i + 1 if slopes[i] > 0 else i - 1
-    if not 0 <= j < coarse_points:
-        j = i
-    return (grid[i], slopes[i]), (grid[j], slopes[j])
-
-
-def minimize_over_a(params, a_min=0.2, a_max=4.0, N=60, coarse_points=None):
+def minimize_over_a(params, a_min=0.2, a_max=4.0, N=60):
     """Minimize Re_a over wavenumbers in [a_min, a_max].
 
-    The maximum of m lies where the slope dm/da changes sign.  By default a
-    walk brackets it: from the window's geometric midpoint, steps by a
-    factor of 2 in the direction the slope points, clamped to the window,
-    until the slope changes sign (about 10 solves per minimum at N = 60).
-    With coarse_points given, a scan of that many log-spaced wavenumbers
-    finds the bracket instead, between the scan minimum and the neighbour
-    its slope points to.  Either bracket is refined by a safeguarded secant
-    search on the slope (Illinois steps, with bisection when the bracket
-    stops halving) until a plain secant step moves less than A_TOL or the
-    bracket is narrower than A_TOL after a step that cannot overshoot.  The
-    best value ever solved is returned.  A minimum on the window edge, where
-    the slope points out of the window, or a search cut short by a failed
-    solve or a missing bracket, is returned with converged=False.  Failed
-    solves are counted in one warning per minimum; if no solve succeeds
-    (the walk's first, or every scan point) a NumericalError naming the
-    first error is raised.
+    The maximum of m lies where the slope dm/da changes sign.  A walk
+    brackets it: from the window's geometric midpoint, steps by a factor of
+    2 in the direction the slope points, clamped to the window, until the
+    slope changes sign (about 10 solves per minimum at N = 60); this relies
+    on Re_a having a single local minimum in the window.  The bracket is
+    refined by a safeguarded secant search on the slope (Illinois steps,
+    with bisection when the bracket stops halving) until a plain secant
+    step moves less than A_TOL or the bracket is narrower than A_TOL after
+    a step that cannot overshoot.  The best value ever solved is returned.
+    A minimum on the window edge, where the slope points out of the
+    window, or a search cut short by a failed solve or a missing bracket,
+    is returned with converged=False.  Failed solves are counted in one
+    warning per minimum; if the walk's first solve fails, a NumericalError
+    naming its error is raised.
     """
     if not (np.isfinite(a_min) and np.isfinite(a_max)) or not 0 < a_min < a_max:
         raise ParameterError(
             f"need 0 < a_min < a_max, got [{a_min}, {a_max}]")
-    if coarse_points is not None and coarse_points < 3:
-        raise ParameterError("coarse_points must be at least 3")
     op, maps = _setup(N)
     sample = profile_for(params, op.nodes)
 
@@ -137,16 +98,21 @@ def minimize_over_a(params, a_min=0.2, a_max=4.0, N=60, coarse_points=None):
                             a_crit=best_a, Re_E=best_re, N_used=op.N,
                             converged=converged)
 
-    if coarse_points is None:
-        ends = _walk(a_min, a_max, solve_at)
-    else:
-        ends = _scan(a_min, a_max, coarse_points, solve_at)
-    if not math.isfinite(best_re):
+    # walk by factors of two up the slope, clamped to the window; the last
+    # two points bracket the slope's zero unless the walk ended at the
+    # window edge or on a failed solve
+    a = math.sqrt(a_min * a_max)
+    cur = (a, solve_at(a)[1])
+    if failures:
         raise NumericalError(
-            f"no threshold solve succeeded for {params}: {len(failures)} "
-            f"failed; first error: {failures[0][1]}")
+            f"first threshold solve failed for {params}: {failures[0][1]}")
+    prev, up = cur, cur[1] > 0
+    edge = a_max if up else a_min
+    while (cur[1] > 0 if up else cur[1] < 0) and a != edge:
+        a = min(2.0 * a, a_max) if up else max(0.5 * a, a_min)
+        prev, cur = cur, (a, solve_at(a)[1])
     # m peaks where its slope changes sign from + to -
-    (lo, g_lo), (hi, g_hi) = sorted(ends)
+    (lo, g_lo), (hi, g_hi) = sorted((prev, cur))
     if not g_lo > 0 > g_hi:
         return point(converged=False)
     x = best_a
@@ -187,32 +153,34 @@ def minimize_over_a(params, a_min=0.2, a_max=4.0, N=60, coarse_points=None):
     return point(converged=True)
 
 
-def neutral_sweep(flow, Ha_list, Pm, a_window=(0.2, 4.0), N=60,
-                  coarse_points=None):
+def neutral_sweep(flow, Ha_list, Pm, a_window=(0.2, 4.0), N=60):
     """Threshold points for each Hartmann number in Ha_list, input order.
 
-    Each point is a minimize_over_a search over a_window (a coarse scan of
-    coarse_points wavenumbers if given).  The walks are not seeded from the
-    previous point, so a row does not depend on the other Hartmann numbers
-    of the sweep.  Every parameter point is validated (as a Params) before
-    the first search, the first search checks the window before anything
-    is built, and the searches share one operator and one set of clamped
-    maps.
+    Each point is a minimize_over_a search over a_window.  The walks are
+    not seeded from the previous point, so a row does not depend on the
+    other Hartmann numbers of the sweep.  Ha_list must be a nonempty 1-D
+    sequence of numbers, and every parameter point is validated (as a
+    Params) before the first search; the first search checks the window
+    before anything is built, and the searches share one operator and one
+    set of clamped maps.
 
     A parameter point whose search fails numerically is logged once and
     yields a NaN point flagged converged=False so the remaining sweep still
     completes.
     """
-    Ha_arr = np.atleast_1d(np.asarray(Ha_list, dtype=float))
-    if Ha_arr.size == 0:
-        raise ParameterError("Ha_list must be nonempty")
+    try:
+        Ha_arr = np.atleast_1d(np.asarray(Ha_list, dtype=float))
+    except (TypeError, ValueError) as exc:
+        raise ParameterError(f"Ha_list must hold numbers: {exc}") from exc
+    if Ha_arr.ndim != 1 or Ha_arr.size == 0:
+        raise ParameterError("Ha_list must be a nonempty 1-D sequence, got "
+                             f"shape {Ha_arr.shape}")
     points = [Params(flow=flow, Ha=float(Ha), Pm=Pm) for Ha in Ha_arr]
     a_min, a_max = a_window
     out = []
     for params in points:
         try:
-            out.append(minimize_over_a(params, a_min=a_min, a_max=a_max, N=N,
-                                       coarse_points=coarse_points))
+            out.append(minimize_over_a(params, a_min=a_min, a_max=a_max, N=N))
         except NumericalError as exc:
             log.warning("%s Ha=%g Pm=%g: threshold search failed: %s",
                         flow, params.Ha, params.Pm, exc)

@@ -130,12 +130,11 @@ def _assemble(params, a, op, sample, maps):
                      N=op.N, maps=maps)
 
 
-def assemble_pencil(params, a, op, sample, maps=None):
+def assemble_pencil(params, a, op, sample, maps):
     """Assemble the clamped pencil for wavenumber a > 0.
 
     op, sample, and maps must describe the same grid and parameters;
-    mismatches raise ConsistencyError.  maps is recomputed from op when
-    not supplied, so callers assembling many wavenumbers should pass it in.
+    mismatches raise ConsistencyError.
     """
     if not isinstance(op, SpectralOperator):
         raise ParameterError("assemble_pencil expects a SpectralOperator")
@@ -144,9 +143,7 @@ def assemble_pencil(params, a, op, sample, maps=None):
     if not np.isfinite(a) or a <= 0:
         raise ParameterError(f"wavenumber a must be finite and > 0, got {a}")
     check_sample(sample, params, op.nodes)
-    if maps is None:
-        maps = clamped_restrict(op)
-    elif maps.inject.shape != (op.N + 1, op.N - 3):
+    if maps.inject.shape != (op.N + 1, op.N - 3):
         raise ConsistencyError("clamped maps do not match the operator order")
     return _assemble(params, float(a), op, sample, maps)
 

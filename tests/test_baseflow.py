@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from mhdes import Params, baseflow_residual, profile_for
-from mhdes.baseflow import HA_CEIL, couette_profile, hartmann_profile
+from mhdes.baseflow import (HA_CEIL, HA_FLOOR, couette_profile,
+                            hartmann_profile)
 from mhdes.errors import ParameterError
 
 
@@ -124,13 +125,25 @@ def test_small_hartmann_number_limits(wb):
 
 
 @pytest.mark.parametrize("flow", ["couette", "hartmann"])
-@pytest.mark.parametrize("Ha", [0.1, 1.0, 10.0, 50.0])
+@pytest.mark.parametrize("Ha", [2e-4, 1e-3, 0.1, 1.0, 10.0, 50.0])
 def test_stored_derivatives_match_spectral_differentiation(wb, flow, Ha):
     op = wb.op(50)
     s = wb.sample(flow, Ha, 50)
     for f, fp in ((s.U, s.Uprime), (s.Bbar, s.Bprime)):
         err = np.max(np.abs(op.D1 @ f - fp))
         assert err <= 1e-8 * np.max(np.abs(fp))
+
+
+@pytest.mark.parametrize("flow", ["couette", "hartmann"])
+def test_fields_are_continuous_across_the_series_switch(wb, flow):
+    # the Taylor series just below HA_FLOOR and the exponential forms at it
+    # describe the same state, so every field agrees to rounding
+    z = wb.op(50).nodes
+    below = profile_for(wb.params(flow, np.nextafter(HA_FLOOR, 0.0)), z)
+    at = profile_for(wb.params(flow, HA_FLOOR), z)
+    for name in ("U", "Uprime", "Usecond", "Bbar", "Bprime", "Bsecond"):
+        f, g = getattr(below, name), getattr(at, name)
+        assert np.max(np.abs(f - g)) <= 1e-14 * np.max(np.abs(g)), name
 
 
 def test_dispatcher_copies_parameters(wb):

@@ -87,7 +87,7 @@ def test_curve_blocks_and_grid():
 
 
 def test_curve_default_grid_has_forty_points():
-    assert RunConfig().a_points is None
+    assert RunConfig().a_points == 40
     proc = run_cli("curve", "--ha", "1", "--n", "20")
     _, rows = parse_csv(proc.stdout)
     assert [float(r[3]) for r in rows] == np.geomspace(0.2, 4.0, 40).tolist()
@@ -240,24 +240,18 @@ def test_usage_errors_exit_two(args):
     assert run_cli(*args).returncode == 2
 
 
-def test_neutral_honours_a_points(monkeypatch, capsys):
-    counts = []
-    solve = critical.solve_max_m
-
-    def counted(pencil):
-        counts[-1] += 1
-        return solve(pencil)
-
-    monkeypatch.setattr(critical, "solve_max_m", counted)
-    for extra in ((), ("--a-points", "40")):
-        counts.append(0)
-        assert cli.main(["neutral", "--ha", "1", "--n", "20", *extra]) == 0
-        capsys.readouterr()
-    # the slope walk by default, the coarse scan only when asked for
-    assert counts[0] <= 15 and counts[1] >= 40
-    assert cli.main(["neutral", "--ha", "1", "--n", "20",
-                     "--a-points", "2"]) == 2
-    assert "coarse_points" in capsys.readouterr().err
+def test_a_points_belongs_to_curve(tmp_path, capsys):
+    # only curve has a wavenumber grid; the other commands reject the flag
+    # instead of ignoring it, and a config cannot unset the grid size
+    for cmd in ("neutral", "profile", "verify"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([cmd, "--ha", "1", "--n", "8", "--a-points", "5"])
+        assert exc.value.code == 2
+        assert "--a-points" in capsys.readouterr().err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"a_points": null}')
+    assert cli.main(["curve", "--config", str(cfg), "--n", "8"]) == 2
+    assert "a_points" in capsys.readouterr().err
 
 
 def test_failed_points_print_nan_and_exit_three(monkeypatch, capsys, caplog):
@@ -341,8 +335,9 @@ def test_solver_commands_never_import_scipy():
         "import sys",
         "from mhdes import Params, cli, minimize_over_a",
         "for cmd in ('profile', 'curve', 'neutral'):",
-        "    assert cli.main([cmd, '--ha', '1', '--a-points', '3',",
-        "                     '--n', '20', '--out', sys.argv[1]]) == 0",
+        "    grid = ['--a-points', '3'] if cmd == 'curve' else []",
+        "    assert cli.main([cmd, '--ha', '1', *grid, '--n', '20',",
+        "                     '--out', sys.argv[1]]) == 0",
         "minimize_over_a(Params(flow='hartmann', Ha=1.0, Pm=0.1), N=20)",
         "loaded = sorted(m for m in sys.modules if m.startswith('scipy'))",
         "assert not loaded, loaded",

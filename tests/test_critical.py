@@ -19,6 +19,15 @@ GOLDEN_COUETTE_HA1 = (1.8962703547092798, 49.661215981990146)
 
 SWEEP_HA = (0.1, 1.0, 10.0, 50.0)
 
+# Re_E of the sweep points at Pm = 0.1, N = 60 on [0.2, 30], frozen from
+# the 40-point coarse scan that the walk replaced (they agree to 3e-12)
+SWEEP_RE_E = {
+    "couette": (44.356716811251879, 49.661215987210063, 411.74097478590136,
+                2076.4718236110789),
+    "hartmann": (87.632625042653345, 91.502169188079051, 411.96937099957006,
+                 2076.4718279184845),
+}
+
 
 @pytest.fixture(scope="module")
 def sweep_cache(wb):
@@ -63,17 +72,14 @@ def test_edge_minimum_flagged_not_converged(wb):
     assert pt.a_crit == 1.0
 
 
-@pytest.mark.parametrize("window,edge,coarse_points", [
-    ((0.2, 1.0), 1.0, 40),
-    ((3.0, 10.0), 3.0, None),
-    ((3.0, 10.0), 3.0, 40),
+@pytest.mark.parametrize("window,edge", [
+    ((0.2, 1.0), 1.0),
+    ((3.0, 10.0), 3.0),
 ])
-def test_edge_rule_at_both_window_ends(wb, window, edge, coarse_points):
+def test_edge_rule_at_both_window_ends(wb, window, edge):
     # the minimizer near a = 1.89 lies above [0.2, 1] and below [3, 10], so
-    # the slope points out of the window at the edge named; the walk on
-    # [0.2, 1] is test_edge_minimum_flagged_not_converged
-    pt = minimize_over_a(wb.params("couette", 1.0), *window, N=50,
-                         coarse_points=coarse_points)
+    # the slope points out of the window at the edge named
+    pt = minimize_over_a(wb.params("couette", 1.0), *window, N=50)
     assert not pt.converged
     assert pt.a_crit == edge
     sol = wb.solution("couette", 1.0, edge, N=50)
@@ -94,29 +100,30 @@ def count_solves(monkeypatch):
 def test_walk_costs_few_solves_on_sweep_points(wb, monkeypatch):
     calls = count_solves(monkeypatch)
     for flow in ("couette", "hartmann"):
-        for Ha in SWEEP_HA:
-            params = wb.params(flow, Ha)
+        for Ha, re_ref in zip(SWEEP_HA, SWEEP_RE_E[flow]):
             calls.clear()
-            walk = minimize_over_a(params, 0.2, 30.0, N=60)
+            walk = minimize_over_a(wb.params(flow, Ha), 0.2, 30.0, N=60)
             assert walk.converged
             assert len(calls) <= 15
-            scan = minimize_over_a(params, 0.2, 30.0, N=60, coarse_points=40)
-            assert scan.converged
-            assert abs(walk.Re_E - scan.Re_E) <= 1e-9 * scan.Re_E
+            assert abs(walk.Re_E - re_ref) <= 1e-9 * re_ref
 
 
 def test_scan_edge_minimum_with_inward_slope_is_refined(wb):
-    # the scan's smallest value sits on a_max = 5, but the slope there
-    # points into the window: the peak of m lies between the last two
-    # grid points (4.713 and 5), where the walk finds it too
-    params = wb.params("hartmann", 20.0, Pm=1.0)
-    scan = minimize_over_a(params, 0.5, 5.0, N=48, coarse_points=40)
-    walk = minimize_over_a(params, 0.5, 5.0, N=48)
-    assert scan.converged and walk.converged
-    assert 4.713 < scan.a_crit < 5.0
-    assert abs(scan.a_crit - 4.9089) <= 1e-3
-    assert scan.Re_E < 297.6
-    assert abs(scan.Re_E - walk.Re_E) <= 1e-9 * walk.Re_E
+    # a 40-point scan's smallest value sits on a_max = 5, but the slope
+    # there points into the window: the peak of m lies between the last
+    # two grid points (4.713 and 5), where the walk finds it
+    grid = np.geomspace(0.5, 5.0, 40)
+    sols = [wb.solution("hartmann", 20.0, float(a), N=48, Pm=1.0)
+            for a in grid]
+    assert int(np.argmin([s.Re_a for s in sols])) == grid.size - 1
+    assert sols[-1].dm_da < 0
+    walk = minimize_over_a(wb.params("hartmann", 20.0, Pm=1.0), 0.5, 5.0,
+                           N=48)
+    assert walk.converged
+    assert 4.713 < walk.a_crit < 5.0
+    assert abs(walk.a_crit - 4.9089) <= 1e-3
+    assert walk.Re_E < 297.6
+    assert walk.Re_E <= sols[-1].Re_a
 
 
 def test_failed_first_solve_raises_and_later_failure_stops(wb, monkeypatch):
@@ -147,10 +154,9 @@ def test_failed_first_solve_raises_and_later_failure_stops(wb, monkeypatch):
 
 def test_slope_refinement_costs_few_solves(wb, monkeypatch):
     calls = count_solves(monkeypatch)
-    pt = minimize_over_a(wb.params("couette", 1.0), 0.2, 30.0, N=50,
-                         coarse_points=40)
+    pt = minimize_over_a(wb.params("couette", 1.0), 0.2, 30.0, N=50)
     assert pt.converged
-    assert len(calls) <= 40 + 8
+    assert len(calls) <= 15
     a_ref, re_ref = GOLDEN_COUETTE_HA1
     assert abs(pt.Re_E - re_ref) <= 1e-9 * re_ref
     assert abs(pt.a_crit - a_ref) <= 2 * A_TOL
@@ -158,7 +164,7 @@ def test_slope_refinement_costs_few_solves(wb, monkeypatch):
 
 def test_refined_value_never_worse_than_coarse_scan(wb):
     params = wb.params("hartmann", 1.0)
-    pt = minimize_over_a(params, 0.5, 5.0, N=50, coarse_points=12)
+    pt = minimize_over_a(params, 0.5, 5.0, N=50)
     grid = np.geomspace(0.5, 5.0, 12)
     coarse = [wb.solution("hartmann", 1.0, float(a), N=50).Re_a for a in grid]
     assert pt.Re_E <= min(coarse) + 1e-12
@@ -208,7 +214,7 @@ def test_sweep_builds_operator_and_maps_once(monkeypatch):
     with pytest.raises(ParameterError):
         neutral_sweep("couette", [1.0], 0.1, a_window=(4.0, 0.2), N=36)
     with pytest.raises(ParameterError):
-        neutral_sweep("couette", [1.0], 0.1, N=36, coarse_points=2)
+        neutral_sweep("couette", [1.0], 0.1, a_window=(0.0, 4.0), N=36)
     assert built == []
     pts = neutral_sweep("couette", [0.5, 1.0, 2.0], 0.1, N=36)
     assert built == [36]
@@ -227,8 +233,6 @@ def test_window_validation(wb):
     for bad in ((0.0, 4.0), (-1.0, 4.0), (2.0, 1.0), (np.nan, 4.0)):
         with pytest.raises(ParameterError):
             minimize_over_a(params, bad[0], bad[1], N=50)
-    with pytest.raises(ParameterError):
-        minimize_over_a(params, 0.2, 4.0, N=50, coarse_points=2)
 
 
 def test_sweep_validation(monkeypatch):
@@ -240,3 +244,34 @@ def test_sweep_validation(monkeypatch):
     for bad in ([], [1.0, -2.0], [np.inf], [1.0, 1e9]):
         with pytest.raises(ParameterError):
             neutral_sweep("couette", bad, 0.1)
+
+
+@pytest.mark.parametrize("bad", [["x"], "abc", [[1.0, 2.0]]],
+                         ids=["text-entry", "text", "2-D"])
+def test_sweep_rejects_malformed_hartmann_lists(monkeypatch, bad):
+    def never(*args, **kwargs):
+        raise AssertionError("minimize_over_a called before validation")
+
+    monkeypatch.setattr(critical, "minimize_over_a", never)
+    with pytest.raises(ParameterError, match="Ha_list"):
+        neutral_sweep("couette", bad, 0.1)
+
+
+@pytest.mark.parametrize("flow", ["couette", "hartmann"])
+def test_walk_meets_single_grid_minimum(wb, flow):
+    # the walk brackets the slope's zero from one point, which finds the
+    # minimum only if Re_a(a) has one local minimum in the window: pin that
+    # on a log grid over the window for Ha 1e-3 to 50 and Pm 0.01 to 10
+    grid = np.geomspace(0.2, 30.0, 40)
+    for Ha in (1e-3, 0.1, 1.0, 10.0, 50.0):
+        for Pm in (0.01, 0.1, 1.0, 10.0):
+            vals = np.array([wb.solution(flow, Ha, float(a), N=40, Pm=Pm).Re_a
+                             for a in grid])
+            falls = np.diff(vals) < 0
+            assert np.count_nonzero(falls[:-1] & ~falls[1:]) == 1
+            i = int(np.argmin(vals))
+            assert 0 < i < grid.size - 1
+            pt = minimize_over_a(wb.params(flow, Ha, Pm), 0.2, 30.0, N=40)
+            assert pt.converged
+            assert pt.Re_E <= vals[i] * (1.0 + 1e-12)
+            assert grid[i - 1] < pt.a_crit < grid[i + 1]
