@@ -110,11 +110,12 @@ def couette_profile(Ha, z):
         # U = sinh(Ha z)/sinh(Ha), U' = Ha cosh(Ha z)/sinh(Ha) and
         # Bbar = (cosh Ha - cosh(Ha z))/(Ha sinh Ha) as series in Ha^2
         h = Ha * Ha
-        c, s = _series(h * z * z)
+        t = h * z * z
+        c, s = _series(t)
         ch, sh = _series(h)
         Sh = 1.0 + h * sh
-        U = z * (1.0 + h * z * z * s) / Sh
-        Uprime = (1.0 + h * z * z * c) / Sh
+        U = z * (1.0 + t * s) / Sh
+        Uprime = (1.0 + t * c) / Sh
         Bbar = (ch - z * z * c) / Sh
     else:
         y = np.abs(z)
@@ -147,10 +148,11 @@ def hartmann_profile(Ha, z):
         # Bbar = (sinh(Ha z) - z sinh Ha)/(Ha (cosh Ha - 1)) as series in
         # Ha^2, each divided through by Ha^2 so nothing cancels
         h = Ha * Ha
-        c, s = _series(h * z * z)
+        t = h * z * z
+        c, s = _series(t)
         ch, sh = _series(h)
         U = (ch - z * z * c) / ch
-        Uprime = -z * (1.0 + h * z * z * s) / ch
+        Uprime = -z * (1.0 + t * s) / ch
         Usecond = h * U - (1.0 + h * ch) / ch
         Bbar = z * (z * z * s - sh) / ch
         Bprime = (z * z * c - sh) / ch
