@@ -35,7 +35,7 @@ from .baseflow import FLOWS, Params, profile_for
 from .critical import neutral_sweep
 from .errors import (ConsistencyError, MhdesError, NumericalError,
                      ParameterError, VerificationError)
-from .orr_evp import assemble_pencil, reynolds_curve, solve_max_m
+from .orr_evp import _numbers, assemble_pencil, reynolds_curve, solve_max_m
 from .spectral import N_MAX, N_MIN, build_operator, clamped_restrict
 from .verify import (_decay_terms, _random_clamped_fields, decay_check,
                      energy_ratio, fd_oracle, make_trial_field, poincare_check,
@@ -85,9 +85,7 @@ class RunConfig:
             if not np.isfinite(v) or v <= 0:
                 raise ParameterError(f"{name} must be finite and > 0, got {v}")
             object.__setattr__(self, name, v)
-        ha = tuple(float(v) for v in self.Ha_list)
-        if len(ha) == 0:
-            raise ParameterError("Ha_list must be nonempty")
+        ha = tuple(float(v) for v in _numbers(self.Ha_list, "Ha_list"))
         for v in ha:
             Params(flow=self.flow, Ha=v, Pm=self.Pm)  # the one Ha check
         object.__setattr__(self, "Ha_list", ha)
@@ -96,11 +94,10 @@ class RunConfig:
                 f"need a_min < a_max, got [{self.a_min}, {self.a_max}]")
         for name in ("N", "seed", "a_points"):
             v = getattr(self, name)
-            try:
-                object.__setattr__(self, name, int(v))
-            except (TypeError, ValueError) as exc:
-                raise ParameterError(
-                    f"{name} must be an integer, got {v!r}") from exc
+            # int() would truncate 20.9 to 20 and read true as 1
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+                raise ParameterError(f"{name} must be an integer, got {v!r}")
+            object.__setattr__(self, name, int(v))
         if self.a_points < 1:
             raise ParameterError("a_points must be at least 1")
         if not (N_MIN <= self.N <= N_MAX):

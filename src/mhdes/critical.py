@@ -13,7 +13,6 @@ clamped maps depend on N alone, so consecutive searches at one N, such as
 the points of a Hartmann-number sweep, build them once.
 """
 
-import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -22,8 +21,7 @@ import numpy as np
 
 from .baseflow import Params, profile_for
 from .errors import NumericalError, ParameterError
-from .orr_evp import assemble_pencil, solve_max_m
-from .spectral import build_operator, clamped_restrict
+from .orr_evp import _numbers, _setup, pencil_forms, solve_max_m
 
 log = logging.getLogger(__name__)
 
@@ -41,13 +39,6 @@ class NeutralPoint:
     Re_E: float
     N_used: int
     converged: bool
-
-
-@functools.lru_cache(maxsize=1)
-def _setup(N):
-    """Operator and clamped maps at N, kept for the next search at that N."""
-    op = build_operator(N)
-    return op, clamped_restrict(op)
 
 
 def minimize_over_a(params, a_min=0.2, a_max=4.0, N=60):
@@ -72,7 +63,7 @@ def minimize_over_a(params, a_min=0.2, a_max=4.0, N=60):
         raise ParameterError(
             f"need 0 < a_min < a_max, got [{a_min}, {a_max}]")
     op, maps = _setup(N)
-    sample = profile_for(params, op.nodes)
+    forms = pencil_forms(params, op, profile_for(params, op.nodes), maps)
 
     failures = []
     best_a, best_re = math.nan, math.inf
@@ -80,7 +71,7 @@ def minimize_over_a(params, a_min=0.2, a_max=4.0, N=60):
     def solve_at(a):
         nonlocal best_a, best_re
         try:
-            sol = solve_max_m(assemble_pencil(params, a, op, sample, maps))
+            sol = solve_max_m(forms.at(a))
         except NumericalError as exc:
             failures.append((a, exc))
             return math.inf, math.nan
@@ -168,14 +159,8 @@ def neutral_sweep(flow, Ha_list, Pm, a_window=(0.2, 4.0), N=60):
     yields a NaN point flagged converged=False so the remaining sweep still
     completes.
     """
-    try:
-        Ha_arr = np.atleast_1d(np.asarray(Ha_list, dtype=float))
-    except (TypeError, ValueError) as exc:
-        raise ParameterError(f"Ha_list must hold numbers: {exc}") from exc
-    if Ha_arr.ndim != 1 or Ha_arr.size == 0:
-        raise ParameterError("Ha_list must be a nonempty 1-D sequence, got "
-                             f"shape {Ha_arr.shape}")
-    points = [Params(flow=flow, Ha=float(Ha), Pm=Pm) for Ha in Ha_arr]
+    points = [Params(flow=flow, Ha=float(Ha), Pm=Pm)
+              for Ha in _numbers(Ha_list, "Ha_list")]
     a_min, a_max = a_window
     out = []
     for params in points:

@@ -219,8 +219,9 @@ def random_trial_bound(params, a, m_claimed, trials=1000, seed=0, N=60,
     """
     if not np.isfinite(m_claimed) or m_claimed <= 0:
         raise ParameterError(f"m_claimed must be finite and > 0, got {m_claimed}")
-    if trials < 1:
-        raise ParameterError("trials must be >= 1")
+    for name, v, low in (("trials", trials, 1), ("seed", seed, 0)):
+        if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < low:
+            raise ParameterError(f"{name} must be an integer >= {low}, got {v!r}")
     op = build_operator(N)
     sample = profile_for(params, op.nodes)
     limit = m_claimed * (1.0 + TRIAL_RTOL)

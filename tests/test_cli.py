@@ -225,6 +225,20 @@ def test_bad_config_files_are_usage_errors(tmp_path):
     assert run_cli("profile", "--config", str(not_json)).returncode == 2
     assert run_cli("profile", "--config",
                    str(tmp_path / "missing.json")).returncode == 2
+    # counts that int() would truncate or read as 1, and Hartmann lists
+    # that are not 1-D sequences of numbers, are refused, not run
+    for cmd, text, why in (
+            ("curve", '{"N": 20.9, "a_points": 3.5, "Ha_list": [1.0]}',
+             "N must be an integer, got 20.9"),
+            ("verify", '{"seed": 2.5}', "seed must be an integer, got 2.5"),
+            ("profile", '{"N": true}', "N must be an integer, got True"),
+            ("profile", '{"Ha_list": "abc"}', "Ha_list must hold numbers"),
+            ("profile", '{"Ha_list": [[1.0, 2.0]]}', "Ha_list must be a")):
+        cfg = tmp_path / "bad_value.json"
+        cfg.write_text(text)
+        proc = run_cli(cmd, "--config", str(cfg))
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert why in proc.stderr
 
 
 @pytest.mark.parametrize("args", [

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mhdes import (clamped_restrict, critical, minimize_over_a, neutral_sweep,
-                   solve_max_m)
+                   orr_evp, reynolds_curve, solve_max_m)
 from mhdes.critical import A_TOL
 from mhdes.errors import NumericalError, ParameterError
 
@@ -209,8 +209,8 @@ def test_sweep_builds_operator_and_maps_once(monkeypatch):
         built.append(op.N)
         return clamped_restrict(op)
 
-    monkeypatch.setattr(critical, "clamped_restrict", counted)
-    critical._setup.cache_clear()
+    monkeypatch.setattr(orr_evp, "clamped_restrict", counted)
+    orr_evp._setup.cache_clear()
     with pytest.raises(ParameterError):
         neutral_sweep("couette", [1.0], 0.1, a_window=(4.0, 0.2), N=36)
     with pytest.raises(ParameterError):
@@ -219,7 +219,37 @@ def test_sweep_builds_operator_and_maps_once(monkeypatch):
     pts = neutral_sweep("couette", [0.5, 1.0, 2.0], 0.1, N=36)
     assert built == [36]
     assert all(p.converged and p.N_used == 36 for p in pts)
-    critical._setup.cache_clear()
+    orr_evp._setup.cache_clear()
+
+
+def test_searches_build_forms_once_and_share_the_setup(wb, monkeypatch):
+    # the wavenumber-free forms are built once per search, not per solve,
+    # and the curve and the minimum share one operator and one set of maps
+    calls = []
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module in (critical, orr_evp):
+        counted(module, "profile_for")
+        counted(module, "pencil_forms")
+    counted(orr_evp, "build_operator")
+    counted(orr_evp, "clamped_restrict")
+    orr_evp._setup.cache_clear()
+    params = wb.params("hartmann", 3.0)
+    pt = minimize_over_a(params, 0.2, 4.0, N=36)
+    assert pt.converged
+    assert calls == ["build_operator", "clamped_restrict", "profile_for",
+                     "pencil_forms"]
+    curve = reynolds_curve(params, np.geomspace(0.2, 4.0, 9), N=36)
+    assert all(np.isfinite(re_a) for _, re_a in curve)
+    assert calls[4:] == ["profile_for", "pencil_forms"]
+    orr_evp._setup.cache_clear()
 
 
 def test_threshold_is_attained_by_a_solvable_point(wb):

@@ -1,12 +1,14 @@
 """Clamped eigenvalue pencil: structure, solves, thresholds, symmetries."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
 import mhdes
 from mhdes.errors import ConsistencyError, NumericalError, ParameterError
-from mhdes.orr_evp import EvpPencil, _assemble, _blocks
+from mhdes.orr_evp import EvpPencil, _assemble
 
 # growth-ratio anchors frozen from an independent dense-assembly prototype
 # (N = 60, Pm = 0.1, a = 1.2)
@@ -38,15 +40,17 @@ def test_mass_matrix_symmetric_positive_definite(wb):
 
 
 def test_pencil_matrix_hermitian(wb):
+    # i K is Hermitian exactly when the real K is antisymmetric
     for flow, Ha in (("couette", 1.0), ("hartmann", 10.0)):
-        L = wb.pencil(flow, Ha, 1.2, N=40).Lmat
-        assert np.array_equal(L, L.conj().T)
+        K = wb.pencil(flow, Ha, 1.2, N=40).K
+        assert np.isrealobj(K)
+        assert np.array_equal(K, -K.T)
 
 
 def test_reassembly_is_deterministic(wb):
     p1 = wb.pencil("hartmann", 10.0, 1.7, N=40)
     p2 = wb.pencil("hartmann", 10.0, 1.7, N=40)
-    assert np.array_equal(p1.Lmat, p2.Lmat)
+    assert np.array_equal(p1.K, p2.K)
     assert np.array_equal(p1.S, p2.S)
 
 
@@ -56,7 +60,7 @@ def test_wavenumber_enters_only_through_stated_factors(wb):
     a = 0.8125
     p1 = wb.pencil("couette", 1.0, a, N=40)
     p2 = wb.pencil("couette", 1.0, 2 * a, N=40)
-    assert np.array_equal(p2.Lmat, 2.0 * p1.Lmat)
+    assert np.array_equal(p2.K, 2.0 * p1.K)
     mp = wb.maps(40)
     qw = wb.op(40).qweights
     Q1 = mp.basis_d1.T @ (qw[:, None] * mp.basis_d1)
@@ -68,17 +72,14 @@ def test_wavenumber_enters_only_through_stated_factors(wb):
 
 
 def test_zero_coupling_strength_decouples_magnetic_field(wb):
-    op = wb.op(40)
-    mp = wb.maps(40)
-    sample = wb.sample("couette", 1.0, 40)
-    # Ha = 0 removes the coupling; with Pm < 1 the top mode stays in the
-    # velocity sector
-    L, S, dS = _blocks(sample, 1.2, op.qweights, mp, 0.0, 0.1)
-    nm = mp.inject.shape[1]
-    assert not np.any(L[:nm, nm:]) and not np.any(L[nm:, :nm])
-    pen = EvpPencil(a=1.2, Lmat=L, S=S, dS=dS,
-                    params=wb.params("couette", 1.0), N=40, maps=mp)
-    sol = mhdes.solve_max_m(pen)
+    # zero coupling blocks leave two sectors; with Pm < 1 the top mode
+    # stays in the velocity sector
+    pen = wb.pencil("couette", 1.0, 1.2, N=40)
+    nm = pen.S.shape[0]
+    K = pen.K.copy()
+    K[:nm, nm:] = 0.0
+    K[nm:, :nm] = 0.0
+    sol = mhdes.solve_max_m(dataclasses.replace(pen, K=K))
     assert np.max(np.abs(sol.l_hat)) <= 1e-10 * np.max(np.abs(sol.w_hat))
 
 
@@ -199,6 +200,9 @@ def test_threshold_curve_validation(wb):
         mhdes.reynolds_curve(params, [], N=50)
     with pytest.raises(ParameterError):
         mhdes.reynolds_curve(params, [0.5, -1.0], N=50)
+    for bad in ([[0.5, 1.0], [1.5, 2.0]], ["x"], "abc"):
+        with pytest.raises(ParameterError, match="a_grid"):
+            mhdes.reynolds_curve(params, bad, N=50)
 
 
 def test_assembly_validation(wb):
@@ -224,41 +228,28 @@ def test_assembly_validation(wb):
 
 def test_solve_rejects_non_hermitian_or_indefinite_pencil(wb):
     # the real Cholesky-whitened solve must refuse a pencil without the
-    # self-adjoint, purely-imaginary-over-SPD structure instead of returning
-    # a wrong eigenvalue; each case reaches a different guard
+    # real-antisymmetric-over-SPD structure instead of returning a wrong
+    # eigenvalue; the cases reach each of the three guards
     rng = np.random.default_rng(3)
     n = 10
-    X = (rng.standard_normal((2 * n, 2 * n))
-         + 1j * rng.standard_normal((2 * n, 2 * n)))
-    Xr = X.real
-    B = Xr[:n, :n]
+    X = rng.standard_normal((2 * n, 2 * n))
+    A = X - X.T
+    B = X[:n, :n]
 
-    def pencil(L, S):
-        return EvpPencil(a=1.0, Lmat=L, S=S, dS=np.zeros((n, n)),
-                         params=wb.params("couette", 1.0), N=13,
-                         maps=wb.maps(13))
+    def pencil(K, S):
+        return EvpPencil(a=1.0, K=K, S=S, dS=np.zeros((n, n)),
+                         params=wb.params("couette", 1.0), maps=wb.maps(13))
 
-    with pytest.raises(NumericalError, match="not Hermitian"):
+    with pytest.raises(NumericalError, match="complex"):
+        mhdes.solve_max_m(pencil(A + 0j, np.eye(n)))
+    with pytest.raises(NumericalError, match="complex"):
+        mhdes.solve_max_m(pencil(A, np.eye(n) + 0j))
+    with pytest.raises(NumericalError, match="not antisymmetric"):
         mhdes.solve_max_m(pencil(X, np.eye(n)))
+    with pytest.raises(NumericalError, match="not symmetric"):
+        mhdes.solve_max_m(pencil(A, np.eye(n) + 0.1 * B))
     with pytest.raises(NumericalError, match="positive definite"):
-        mhdes.solve_max_m(pencil(1j * (Xr - Xr.T), -np.eye(n)))
-    with pytest.raises(NumericalError, match="purely imaginary"):
-        mhdes.solve_max_m(pencil(X + X.conj().T, np.eye(n)))
-    with pytest.raises(NumericalError, match="purely imaginary"):
-        mhdes.solve_max_m(pencil(1j * (Xr - Xr.T),
-                                 np.eye(n) + 0.1j * (B - B.T)))
-
-
-def test_pencil_is_purely_imaginary_over_real(wb):
-    # the real solve rests on this structure of the assembled pencil
-    for flow in ("couette", "hartmann"):
-        op, mp = wb.op(40), wb.maps(40)
-        for Ha in (1e-6, 10.0):
-            params = wb.params(flow, Ha)
-            pen = mhdes.assemble_pencil(params, 1.2, op,
-                                        wb.sample(flow, Ha, 40), mp)
-            assert not np.any(pen.Lmat.real)
-            assert np.isrealobj(pen.S)
+        mhdes.solve_max_m(pencil(A, -np.eye(n)))
 
 
 @pytest.mark.parametrize("flow", ["couette", "hartmann"])
@@ -269,8 +260,8 @@ def test_real_solve_matches_hermitian_reference(wb, flow, N):
     for Ha in (1e-6, 0.1, 10.0, 300.0):
         for a in (0.3, 1.2, 20.0):
             pen = wb.pencil(flow, Ha, a, N=N)
-            n = pen.Lmat.shape[0]
-            ref = sla.eigh(-0.5 * pen.Lmat, np.kron(np.eye(2), pen.S),
+            n = pen.K.shape[0]
+            ref = sla.eigh(1j * pen.K, np.kron(np.eye(2), pen.S),
                            subset_by_index=[n - 1, n - 1],
                            eigvals_only=True)[0]
             sol = mhdes.solve_max_m(pen)

@@ -229,6 +229,10 @@ def test_trial_bound_validation(wb):
         mhdes.random_trial_bound(params, 1.2, 0.0, trials=10, seed=0)
     with pytest.raises(ParameterError):
         mhdes.random_trial_bound(params, 1.2, 1.0, trials=0, seed=0)
+    for trials, seed in ((2.5, 0), (True, 0), (10, -1), (10, 1.5)):
+        with pytest.raises(ParameterError):
+            mhdes.random_trial_bound(params, 1.2, 1.0, trials=trials,
+                                     seed=seed)
 
 
 def test_decay_certificate_below_threshold(wb, rng):
