@@ -87,10 +87,17 @@ class EvpSolution:
     residual: float
 
 
-# typed, so N = 60.0 reaches build_operator's check instead of the entry for 60
-@functools.lru_cache(maxsize=1, typed=True)
 def _setup(N):
-    """Operator and clamped maps at N, kept for the next search at that N."""
+    """Operator and clamped maps at N, kept for the next search at that N.
+    N is checked here, since the cache hashes it before build_operator
+    could reject it."""
+    if isinstance(N, bool) or not isinstance(N, (int, np.integer)):
+        raise ParameterError(f"N must be an integer, got {N!r}")
+    return _cached_setup(int(N))
+
+
+@functools.lru_cache(maxsize=1)
+def _cached_setup(N):
     op = build_operator(N)
     return op, clamped_restrict(op)
 

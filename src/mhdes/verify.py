@@ -4,9 +4,10 @@ Everything here deliberately avoids the clamped Galerkin machinery used by
 the pencil assembly: energy functionals are evaluated by raw collocation
 derivatives and quadrature on full nodal fields, and fd_oracle rebuilds
 the whole eigenproblem on a uniform grid with second-order central finite
-differences.  Agreement between these routes and the spectral solver is
-what the acceptance tests certify, so the two implementations must never
-be collapsed into one.
+differences and finds its top eigenvalue by one Lanczos run per grid.
+Agreement between these routes and the spectral solver is what the
+acceptance tests certify, so the two implementations must never be
+collapsed into one.
 """
 
 import gc
@@ -30,7 +31,6 @@ POINCARE_SLACK = 1e-8
 POINCARE_BOUND = math.pi * math.pi / 4.0
 FD_KD = 4
 FD_SHIFT = 1.05
-_FD_BRACKET_STEPS = 64
 _FD_SEED = 12345
 
 
@@ -88,8 +88,7 @@ def make_trial_field(a, w_hat, l_hat, op):
     The in-plane components follow from incompressibility and the
     corresponding magnetic constraint for a single mode of wavenumber a.
     """
-    if not np.isfinite(a) or a == 0:
-        raise ParameterError(f"wavenumber a must be finite and nonzero, got {a}")
+    _check_wavenumber(a)
     w_hat = np.asarray(w_hat, dtype=complex)
     l_hat = np.asarray(l_hat, dtype=complex)
     if w_hat.shape != op.nodes.shape or l_hat.shape != op.nodes.shape:
@@ -97,10 +96,22 @@ def make_trial_field(a, w_hat, l_hat, op):
     return _complete(a, w_hat, l_hat, op)
 
 
+def _check_wavenumber(a):
+    if not np.isfinite(a) or a == 0:
+        raise ParameterError(f"wavenumber a must be finite and nonzero, got {a}")
+
+
 def _ddz(f, op):
     """Collocation derivative of one field or of each row of a batch; a
     single field keeps the arithmetic of the matrix-vector product."""
     return (op.D1 @ f.T).T
+
+
+def _gradsq(f, a, op):
+    """Quadrature of |f'|^2 + a^2 |f|^2 for one field or each row of a
+    batch, with the raw collocation derivative."""
+    return np.sum(op.qweights * (np.abs(_ddz(f, op)) ** 2
+                                 + a * a * np.abs(f) ** 2), axis=-1)
 
 
 def _complete(a, w_hat, l_hat, op):
@@ -152,18 +163,14 @@ def _functionals(field, params, sample, op):
     def ip(f, g):
         return np.real(np.sum(w * f * np.conj(g), axis=-1))
 
-    def gradsq(f):
-        return np.sum(w * (np.abs(_ddz(f, op)) ** 2 + a * a * np.abs(f) ** 2),
-                      axis=-1)
-
     u, wf, h, lf = field.u_hat, field.w_hat, field.h_hat, field.l_hat
     A = params.A
-    prod = -ip(sample.Uprime * wf, u)
-    if A != 0.0:
-        prod += A * (ip(sample.Bprime * lf, u) - ip(sample.Bprime * wf, h)
-                     + ip(sample.Uprime * lf, h))
+    prod = -ip(sample.Uprime * wf, u) + A * (
+        ip(sample.Bprime * lf, u) - ip(sample.Bprime * wf, h)
+        + ip(sample.Uprime * lf, h))
     Ha = params.Ha
-    diss1 = gradsq(u) + gradsq(wf) + Ha * Ha * (gradsq(h) + gradsq(lf))
+    diss1 = (_gradsq(u, a, op) + _gradsq(wf, a, op)
+             + Ha * Ha * (_gradsq(h, a, op) + _gradsq(lf, a, op)))
     if np.any(diss1 <= 0.0):
         raise ParameterError("trial field has zero dissipation; the ratio "
                              "is undefined for the zero field")
@@ -217,6 +224,7 @@ def random_trial_bound(params, a, m_claimed, trials=1000, seed=0, N=60,
     field; otherwise the maximum ratio and its gap to the claim are
     returned.  The random trials are drawn and evaluated as one batch.
     """
+    _check_wavenumber(a)
     if not np.isfinite(m_claimed) or m_claimed <= 0:
         raise ParameterError(f"m_claimed must be finite and > 0, got {m_claimed}")
     for name, v, low in (("trials", trials, 1), ("seed", seed, 0)):
@@ -290,15 +298,12 @@ def decay_check(field, params, Re, Re_E, sample, op):
 def poincare_check(field, op):
     """Check pi^2/4 * ||f||^2 <= ||grad f||^2 (1 + 1e-8) for each field
     component; the gradient includes the a^2 in-plane contribution."""
-    a = field.a
-    w = op.qweights
     ratios = {}
     ok = True
     for name in ("u_hat", "w_hat", "h_hat", "l_hat"):
         f = getattr(field, name)
-        n2 = float(np.sum(w * np.abs(f) ** 2))
-        df = op.D1 @ f
-        g2 = float(np.sum(w * (np.abs(df) ** 2 + a * a * np.abs(f) ** 2)))
+        n2 = float(np.sum(op.qweights * np.abs(f) ** 2))
+        g2 = float(_gradsq(f, field.a, op))
         if n2 == 0.0:
             ratios[name] = {"ratio": math.inf, "satisfied": True}
             continue
@@ -374,79 +379,49 @@ def _fd_factor(Lb, Mb, sigma):
         return None
 
 
-def _fd_bracket_shift(Lb, Mb, M):
-    """A shift above the top eigenvalue by at most the factor FD_SHIFT,
-    with its factor, from Cholesky attempts alone.
-
-    Factor-of-two steps from 1 find a shift without a factor (below the
-    top eigenvalue) and one with (above it), and geometric bisection
-    narrows that bracket to the ratio FD_SHIFT.  The top eigenvalue is
-    positive, since the pencil's spectrum is symmetric about zero.
-    """
-    lo, hi, c = 0.0, math.inf, None
-    sigma = 1.0
-    for _ in range(_FD_BRACKET_STEPS):
-        f = _fd_factor(Lb, Mb, sigma)
-        if f is None:
-            lo = sigma
-        else:
-            hi, c = sigma, f
-        if hi <= FD_SHIFT * lo:
-            return hi, c
-        if hi == math.inf:
-            sigma = 2.0 * lo
-        elif lo == 0.0:
-            sigma = 0.5 * hi
-        else:
-            sigma = math.sqrt(lo * hi)
-    raise NumericalError(f"FD pencil at M={M}: no shift bracket in "
-                         f"{_FD_BRACKET_STEPS} Cholesky attempts from 1")
-
-
-def _fd_max_m(params, a, M, m_near=None):
+def _fd_max_m(params, a, M):
     """Largest eigenvalue of the FD pencil at one grid size.
 
-    Shift-invert Lanczos, seeded deterministically, through a banded
-    Cholesky factor of sigma Mm - Lh.  The factor certifies that sigma
-    lies above every eigenvalue (_fd_factor), so the eigenvalue nearest
-    the shift is the top one.  sigma is FD_SHIFT times m_near, an
-    estimate of that eigenvalue, and a shift without a factor raises
-    NumericalError; without an estimate, Cholesky attempts bracket the top
-    eigenvalue to within FD_SHIFT (_fd_bracket_shift).  The returned
-    eigenvector is polished by an exact Rayleigh quotient of the sparse
-    matrices, since the factored solve alone degrades as the mass matrix
-    norm grows like h^-4.
+    One Lanczos run in ARPACK's regular mode for the largest algebraic
+    eigenvalue of (Lh, Mm), from a fixed start vector, with Mm^-1 applied
+    through its banded Cholesky factor.  The eigenvector is polished by
+    the exact Rayleigh quotient of the sparse matrices, since the Lanczos
+    value alone degrades as the mass matrix norm grows like h^-4.  The
+    value m is certified by one factorization: FD_SHIFT m Mm - Lh must
+    have a Cholesky factor (_fd_factor), so no eigenvalue lies above
+    FD_SHIFT m.  A missing factor, or a Lanczos run that does not
+    converge, raises NumericalError.
     """
     import scipy.sparse.linalg as spla
-    from scipy.linalg import cho_solve_banded
+    from scipy.linalg import cho_solve_banded, cholesky_banded
 
     Lh, Mm = _fd_matrices(params, a, M)
     Lb, Mb = _fd_bands(Lh), _fd_bands(Mm)
-    if m_near is None:
-        sigma, c = _fd_bracket_shift(Lb, Mb, M)
-    else:
-        sigma = FD_SHIFT * m_near
-        c = _fd_factor(Lb, Mb, sigma)
-        if c is None:
-            raise NumericalError(
-                f"FD shift {sigma:.6e} at M={M} is not above the top "
-                "eigenvalue: sigma Mm - Lh has no Cholesky factor")
+    c = cholesky_banded(Mb, check_finite=False)
     n = Lh.shape[0]
-    # eigsh wants (Lh - sigma Mm)^-1, the negative of the factored inverse
-    opinv = spla.LinearOperator(
+    minv = spla.LinearOperator(
         (n, n), dtype=complex,
-        matvec=lambda x: -cho_solve_banded((c, False), x, check_finite=False))
+        matvec=lambda x: cho_solve_banded((c, False), x, check_finite=False))
     rng = np.random.default_rng(_FD_SEED)
     v0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    _, vecs = spla.eigsh(Lh, k=1, M=Mm, sigma=sigma, which="LM", v0=v0,
-                         OPinv=opinv, maxiter=5000)
+    try:
+        _, vecs = spla.eigsh(Lh, k=1, M=Mm, Minv=minv, which="LA", v0=v0,
+                             maxiter=5000)
+    except spla.ArpackNoConvergence as exc:
+        raise NumericalError(f"FD Lanczos at M={M} did not converge: "
+                             f"{exc}") from exc
     # eigsh's ARPACK state holds a closure over itself; the cycle keeps the
     # matrices, the factor and the Lanczos basis alive until the cyclic
     # collector runs, and successive oracles would stack them in the peak
     # resident size.  The young generations still hold it: free it now.
     gc.collect(1)
     q = vecs[:, 0]
-    return float(np.vdot(q, Lh @ q).real) / float(np.vdot(q, Mm @ q).real)
+    m = float(np.vdot(q, Lh @ q).real) / float(np.vdot(q, Mm @ q).real)
+    if _fd_factor(Lb, Mb, FD_SHIFT * m) is None:
+        raise NumericalError(
+            f"FD value {m:.6e} at M={M} is not the top eigenvalue: "
+            f"{FD_SHIFT} m Mm - Lh has no Cholesky factor")
+    return m
 
 
 def fd_oracle(params, a, M=300):
@@ -454,19 +429,16 @@ def fd_oracle(params, a, M=300):
 
     An independent check of solve_max_m: second-order central differences
     on a uniform interior grid, clamped boundaries via ghost points, the
-    same maximum-real-eigenvalue semantics, and h^2 extrapolation.  Both
-    grids take the banded path of _fd_max_m: the M grid brackets its own
-    shift by Cholesky attempts, the 2M grid shifts above the M-cell value.
-    In float64 the h^-4 stencil scale puts a ~1e-4 relative accuracy floor
-    on grids of several thousand cells, far inside the tolerance this
-    oracle is used to certify.
+    same maximum-real-eigenvalue semantics, and h^2 extrapolation.  The
+    two grids are independent solves of _fd_max_m, each certified by one
+    Cholesky factorization.  In float64 the h^-4 stencil scale puts a ~1e-4
+    relative accuracy floor on grids of several thousand cells, far inside
+    the tolerance this oracle is used to certify.
     """
     if not np.isfinite(a) or a <= 0:
         raise ParameterError(f"wavenumber a must be finite and > 0, got {a}")
     if not isinstance(M, (int, np.integer)) or M < 200:
         raise ParameterError(f"M must be an integer >= 200, got {M!r}")
     m1 = _fd_max_m(params, a, int(M))
-    # m1 is within O(h^2) of the fine grid's top eigenvalue, far inside
-    # the 5% margin of the shift placed above it
-    m2 = _fd_max_m(params, a, 2 * int(M), m_near=m1)
+    m2 = _fd_max_m(params, a, 2 * int(M))
     return m2 + (m2 - m1) / 3.0

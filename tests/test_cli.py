@@ -176,6 +176,19 @@ def test_verify_runs_fd_oracles_after_spectral_checks(monkeypatch, capsys):
     assert [p["Ha"] for p in report["points"]] == [0.5, 2.0]
 
 
+def test_verify_fd_lanczos_failure_exits_3(monkeypatch, capsys):
+    import scipy.sparse.linalg as spla
+
+    def unconverged(*args, **kwargs):
+        raise spla.ArpackNoConvergence("injected", np.empty(0),
+                                       np.empty((0, 0)))
+
+    monkeypatch.setattr(spla, "eigsh", unconverged)
+    assert cli.main(["verify", "--ha", "1"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("mhdes: numerical failure: ") and "converge" in err
+
+
 def test_verify_perturbed_claim_fails(tmp_path):
     out = tmp_path / "report.json"
     proc = run_cli("verify", "--ha", "1", "--n", "50",

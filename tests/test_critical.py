@@ -210,7 +210,7 @@ def test_sweep_builds_operator_and_maps_once(monkeypatch):
         return clamped_restrict(op)
 
     monkeypatch.setattr(orr_evp, "clamped_restrict", counted)
-    orr_evp._setup.cache_clear()
+    orr_evp._cached_setup.cache_clear()
     with pytest.raises(ParameterError):
         neutral_sweep("couette", [1.0], 0.1, a_window=(4.0, 0.2), N=36)
     with pytest.raises(ParameterError):
@@ -219,7 +219,7 @@ def test_sweep_builds_operator_and_maps_once(monkeypatch):
     pts = neutral_sweep("couette", [0.5, 1.0, 2.0], 0.1, N=36)
     assert built == [36]
     assert all(p.converged and p.N_used == 36 for p in pts)
-    orr_evp._setup.cache_clear()
+    orr_evp._cached_setup.cache_clear()
 
 
 def test_searches_build_forms_once_and_share_the_setup(wb, monkeypatch):
@@ -240,7 +240,7 @@ def test_searches_build_forms_once_and_share_the_setup(wb, monkeypatch):
         counted(module, "pencil_forms")
     counted(orr_evp, "build_operator")
     counted(orr_evp, "clamped_restrict")
-    orr_evp._setup.cache_clear()
+    orr_evp._cached_setup.cache_clear()
     params = wb.params("hartmann", 3.0)
     pt = minimize_over_a(params, 0.2, 4.0, N=36)
     assert pt.converged
@@ -249,7 +249,17 @@ def test_searches_build_forms_once_and_share_the_setup(wb, monkeypatch):
     curve = reynolds_curve(params, np.geomspace(0.2, 4.0, 9), N=36)
     assert all(np.isfinite(re_a) for _, re_a in curve)
     assert calls[4:] == ["profile_for", "pencil_forms"]
-    orr_evp._setup.cache_clear()
+    orr_evp._cached_setup.cache_clear()
+
+
+@pytest.mark.parametrize("N", [[60], 60.0, True, "60"])
+def test_searches_reject_a_non_integer_N_before_the_cache(wb, N):
+    # the cache hashes N, so a list would escape as a TypeError
+    params = wb.params("couette", 1.0)
+    with pytest.raises(ParameterError, match="N must be an integer"):
+        minimize_over_a(params, 0.2, 4.0, N=N)
+    with pytest.raises(ParameterError, match="N must be an integer"):
+        reynolds_curve(params, [1.0], N=N)
 
 
 def test_threshold_is_attained_by_a_solvable_point(wb):

@@ -8,6 +8,7 @@ import numpy.polynomial.chebyshev as ncheb
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 import mhdes
 from mhdes import verify
@@ -229,6 +230,10 @@ def test_trial_bound_validation(wb):
         mhdes.random_trial_bound(params, 1.2, 0.0, trials=10, seed=0)
     with pytest.raises(ParameterError):
         mhdes.random_trial_bound(params, 1.2, 1.0, trials=0, seed=0)
+    # NaN ratios never exceed the claim, so a bad wavenumber would pass
+    for a in (np.nan, np.inf, 0.0):
+        with pytest.raises(ParameterError, match="wavenumber"):
+            mhdes.random_trial_bound(params, a, 1.0, trials=10, seed=0)
     for trials, seed in ((2.5, 0), (True, 0), (10, -1), (10, 1.5)):
         with pytest.raises(ParameterError):
             mhdes.random_trial_bound(params, 1.2, 1.0, trials=trials,
@@ -352,16 +357,16 @@ def test_fd_oracle_classical_threshold(wb):
     assert abs(1.0 / m_fd - 44.3) <= 0.01 * 44.3
 
 
-def test_fd_shift_invert_path_is_deterministic(wb):
+def test_fd_lanczos_path_is_deterministic(wb):
     params = wb.params("couette", 1e-6)
     v1 = _fd_max_m(params, 1.5, 1200)
     v2 = _fd_max_m(params, 1.5, 1200)
     assert v1 == v2
 
 
-def test_fd_oracle_seeds_fine_grid_with_coarse_value(wb, monkeypatch):
-    # grid M's value places the shift for grid 2M, so no third solve runs;
-    # the value is the one of the separate coarse-estimate solve it replaced
+def test_fd_oracle_builds_exactly_the_grids_m_and_2m(wb, monkeypatch):
+    # one solve per grid and no other; the value is frozen from the
+    # shift-invert solves, which the regular-mode solves match to 1e-8
     calls = []
     fd_matrices = verify._fd_matrices
 
@@ -375,24 +380,31 @@ def test_fd_oracle_seeds_fine_grid_with_coarse_value(wb, monkeypatch):
     assert abs(m_fd - 0.01746192513264199) <= 1e-7 * 0.01746192513264199
 
 
-def test_fd_shift_below_top_eigenvalue_is_rejected(wb):
-    params = wb.params("couette", 1.0)
-    m = _fd_max_m(params, 1.2, 600, m_near=0.0174622)
-    assert abs(m - 0.0174622) <= 1e-4 * m
-    # a shift just below the top eigenvalue, and one far below it, where
-    # shift-invert would land on an interior eigenvalue
-    for frac in (0.9, 0.5):
-        with pytest.raises(NumericalError, match="shift"):
-            _fd_max_m(params, 1.2, 600, m_near=frac * m / 1.05)
+def test_fd_value_without_a_certificate_factor_is_rejected(wb, monkeypatch):
+    # a value with no Cholesky factor FD_SHIFT m above it may be an
+    # interior eigenvalue, so it is never returned
+    monkeypatch.setattr(verify, "_fd_factor", lambda Lb, Mb, sigma: None)
+    with pytest.raises(NumericalError, match="no Cholesky factor"):
+        _fd_max_m(wb.params("couette", 1.0), 1.2, 300)
+
+
+def test_fd_lanczos_without_convergence_is_a_numerical_error(wb, monkeypatch):
+    def unconverged(*args, **kwargs):
+        raise spla.ArpackNoConvergence("injected", np.empty(0),
+                                       np.empty((0, 0)))
+
+    monkeypatch.setattr(spla, "eigsh", unconverged)
+    with pytest.raises(NumericalError, match="did not converge"):
+        _fd_max_m(wb.params("couette", 1.0), 1.2, 300)
 
 
 def test_fd_solve_frees_its_solver_state_at_once(wb):
     # eigsh's ARPACK state is a reference cycle; left to the cyclic
     # collector, each solve's matrices and Lanczos basis would linger
     params = wb.params("couette", 1.0)
-    _fd_max_m(params, 1.2, 600, m_near=0.0174622)
+    _fd_max_m(params, 1.2, 600)
     gc.collect()
-    _fd_max_m(params, 1.2, 600, m_near=0.0174622)
+    _fd_max_m(params, 1.2, 600)
     assert gc.collect() == 0
 
 
@@ -431,11 +443,3 @@ def test_fd_cholesky_certifies_shift_above_top_eigenvalue(wb, flow, Ha):
               for A in verify._fd_matrices(params, 1.2, 200))
     assert verify._fd_factor(Lb, Mb, 1.001 * m) is not None
     assert verify._fd_factor(Lb, Mb, 0.999 * m) is None
-
-
-def test_fd_shift_bracket_gives_up_without_a_factor(monkeypatch):
-    # a pencil with no factor at any shift (not finite, say) raises
-    # instead of stepping the shift forever
-    monkeypatch.setattr(verify, "_fd_factor", lambda Lb, Mb, sigma: None)
-    with pytest.raises(NumericalError, match="bracket"):
-        verify._fd_bracket_shift(None, None, 300)
