@@ -28,6 +28,14 @@ _SERIES_COEF = [(1.0 / math.factorial(2 * j + 2),
                  1.0 / math.factorial(2 * j + 3)) for j in reversed(range(9))]
 
 
+def real_scalar(value, name):
+    """value as a float if it is one real number, not a bool."""
+    if isinstance(value, bool) or not isinstance(
+            value, (int, float, np.integer, np.floating)):
+        raise ParameterError(f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class Params:
     """Physical parameter set: flow kind, Hartmann number, magnetic Prandtl
@@ -41,6 +49,8 @@ class Params:
     def __post_init__(self):
         if self.flow not in FLOWS:
             raise ParameterError(f"flow must be one of {FLOWS}, got {self.flow!r}")
+        object.__setattr__(self, "Ha", real_scalar(self.Ha, "Ha"))
+        object.__setattr__(self, "Pm", real_scalar(self.Pm, "Pm"))
         if not np.isfinite(self.Ha) or self.Ha <= 0:
             raise ParameterError(f"Ha must be finite and > 0, got {self.Ha}")
         if self.Ha > HA_CEIL:
@@ -49,8 +59,6 @@ class Params:
                 "rescale the problem instead")
         if not np.isfinite(self.Pm) or self.Pm <= 0:
             raise ParameterError(f"Pm must be finite and > 0, got {self.Pm}")
-        object.__setattr__(self, "Ha", float(self.Ha))
-        object.__setattr__(self, "Pm", float(self.Pm))
         object.__setattr__(self, "A", self.Ha * self.Ha * self.Pm)
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baseflow import Params, profile_for
+from .baseflow import Params, profile_for, real_scalar
 from .errors import NumericalError, ParameterError
 from .orr_evp import _numbers, _setup, pencil_forms, solve_max_m
 
@@ -59,6 +59,7 @@ def minimize_over_a(params, a_min=0.2, a_max=4.0, N=60):
     warning per minimum; if the walk's first solve fails, a NumericalError
     naming its error is raised.
     """
+    a_min, a_max = real_scalar(a_min, "a_min"), real_scalar(a_max, "a_max")
     if not (np.isfinite(a_min) and np.isfinite(a_max)) or not 0 < a_min < a_max:
         raise ParameterError(
             f"need 0 < a_min < a_max, got [{a_min}, {a_max}]")
@@ -161,7 +162,11 @@ def neutral_sweep(flow, Ha_list, Pm, a_window=(0.2, 4.0), N=60):
     """
     points = [Params(flow=flow, Ha=float(Ha), Pm=Pm)
               for Ha in _numbers(Ha_list, "Ha_list")]
-    a_min, a_max = a_window
+    try:
+        a_min, a_max = a_window
+    except (TypeError, ValueError) as exc:
+        raise ParameterError(f"a_window must be a pair (a_min, a_max), got "
+                             f"{a_window!r}") from exc
     out = []
     for params in points:
         try:

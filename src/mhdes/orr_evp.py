@@ -25,14 +25,14 @@ the documented residual bound.  No form depends on a: pencil_forms builds
 them once per parameter set and grid, and the pencil at a sums them with
 powers of a as factors.
 
-K and S are real, so the top eigenpair is found in real arithmetic: S is
-Cholesky-factored once, each block of the whitened real antisymmetric
-matrix Y is formed with that factor, m is the largest singular value of
-Y, and the complex eigenvector is rebuilt from a real one.  The solve uses
-NumPy alone; mixing in SciPy's LAPACK would alternate between two bundled
-OpenBLAS thread pools on every wavenumber, and the workers of one pool
-keep spinning for a while after its last call, holding the cores the
-other pool needs.
+K and S are real and split over the parity halves P1 = {w even, l~ odd}
+and P2 = {w odd, l~ even} (Orszag 1971): K couples P1 with P2 for couette
+and each half with itself for hartmann, so only nonvanishing parity
+blocks are assembled, and the top eigenpair comes from n x n halves in
+real arithmetic.  The solve uses NumPy alone; mixing in SciPy's LAPACK
+would alternate between two bundled OpenBLAS thread pools on every
+wavenumber, and the workers of one pool keep spinning for a while after
+its last call, holding the cores the other pool needs.
 """
 
 import functools
@@ -47,9 +47,11 @@ from .spectral import ClampedMaps, SpectralOperator, build_operator, clamped_res
 
 log = logging.getLogger(__name__)
 
-# relative shift above the top eigenvalue of Y^T Y for inverse iteration:
+# relative shift above the top eigenvalue of B^T B for inverse iteration:
 # far above its rounding error (see solve_max_m for the gap below it)
 INVERSE_SHIFT = 1e-10
+# whether the base shear U' is even in z; B' has the other parity
+_EVEN_SHEAR = {"couette": True, "hartmann": False}
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,10 +132,20 @@ class PencilForms:
                          params=self.params, maps=self.maps)
 
 
+def _parity_form(A, B, weights, same):
+    """A^T diag(weights) B on the column-parity blocks it can fill, equal
+    parities if same, else opposite ones; the rest are exact zeros."""
+    out = np.zeros((A.shape[1], B.shape[1]))
+    ev, od = slice(0, None, 2), slice(1, None, 2)
+    for r, c in ((ev, ev), (od, od)) if same else ((ev, od), (od, ev)):
+        out[r, c] = A[:, r].T @ (weights[:, None] * B[:, c])
+    return out
+
+
 def pencil_forms(params, op, sample, maps):
-    """Build the wavenumber-free forms of the clamped pencil.  op, sample,
-    and maps must describe the same grid and parameters; mismatches raise
-    ConsistencyError."""
+    """Build the wavenumber-free forms of the clamped pencil on their
+    nonvanishing parity blocks.  op, sample, and maps must describe the
+    same grid and parameters; mismatches raise ConsistencyError."""
     if not isinstance(op, SpectralOperator):
         raise ParameterError("the pencil forms need a SpectralOperator")
     if not isinstance(sample, BaseFlowSample):
@@ -142,12 +154,14 @@ def pencil_forms(params, op, sample, maps):
     if maps.inject.shape != (op.N + 1, op.N - 3):
         raise ConsistencyError("clamped maps do not match the operator order")
     qw, R, G1, G2 = op.qweights, maps.inject, maps.basis_d1, maps.basis_d2
-    K_U = G1.T @ ((qw * sample.Uprime)[:, None] * R)
-    K_B = G1.T @ ((qw * sample.Bprime)[:, None] * R)
+    # a derivative flips a column's parity, and B' has the other parity
+    even = _EVEN_SHEAR[params.flow]
+    K_U = _parity_form(G1, R, qw * sample.Uprime, same=not even)
+    K_B = _parity_form(G1, R, qw * sample.Bprime, same=even)
     return PencilForms(shear=K_U - K_U.T, coupling=K_B + K_B.T,
-                       Q0=R.T @ (qw[:, None] * R),
-                       Q1=G1.T @ (qw[:, None] * G1),
-                       Q2=G2.T @ (qw[:, None] * G2),
+                       Q0=_parity_form(R, R, qw, True),
+                       Q1=_parity_form(G1, G1, qw, True),
+                       Q2=_parity_form(G2, G2, qw, True),
                        params=params, maps=maps)
 
 
@@ -167,18 +181,19 @@ def solve_max_m(pencil):
     """Largest eigenvalue of the assembled pencil and its slope in a.
 
     The pencil i K q = m blockdiag(S, S) q is self-adjoint: K is real
-    antisymmetric and S is real symmetric positive definite.  With
-    S = c c^T, factored once for both fields, it becomes i Y v = m v for
-    the real antisymmetric Y whose blocks are c^-1 K_ij c^-T, and
-    q = blockdiag(c, c)^-T v.  The top eigenvalue m is the largest
-    singular value of Y, the square root of the top eigenvalue of Y^T Y.
-    That eigenvalue is double, and every unit vector w of its eigenspace
-    gives the same q up to a phase through v = w + i Y w / m; one such w
-    comes from two steps of inverse iteration shifted just above it, so
-    only eigenvalues are ever decomposed.  At large Ha the two wall modes
-    may lie closer than the shift (8.3e-9 relative at couette Ha = 50,
-    N = 160); m and dm/da are unaffected, but the eigenvector may then
-    mix the two modes.
+    antisymmetric and S is real symmetric positive definite.  The even
+    and odd blocks of S are factored once, so with its even-parity field
+    first, P1 = (w even, l~ odd) or P2 = (l~ even, w odd), either half
+    has the energy C C^T, C = blockdiag(c_e, c_o).  m is the largest
+    singular value of the whitened cross block B = C^-1 K[P1, P2] C^-T
+    for couette, and of the larger whitened half B = C^-1 K[Pi, Pi] C^-T
+    for hartmann (P1 on a tie), where q is exactly zero on the other
+    half, so the nearly degenerate wall modes of large Ha are not mixed.
+    w, a unit vector of the top eigenspace of B^T B, comes from two
+    shifted inverse-iteration steps, and C^-T brings w + i B w / m back.
+    Couette's B can still have a near-double top singular value at large
+    Ha, closer than the shift (8.3e-9 relative at Ha = 50, N = 160): m
+    and dm/da are unaffected, but the eigenvector may then mix the two.
 
     K is linear in a, so the Hellmann-Feynman slope reduces to
     dm/da = m/a - m q^H blockdiag(dS, dS) q / q^H blockdiag(S, S) q.
@@ -186,8 +201,9 @@ def solve_max_m(pencil):
     The eigenvector is scaled to unit 2-norm before it is injected back
     onto the full grid, its magnetic half divided by Ha, and the residual
     is |i K q - m blockdiag(S, S) q|.  A pencil whose K or S is complex,
-    whose K is not exactly antisymmetric or S not exactly symmetric, or
-    whose S has no Cholesky factor raises NumericalError instead of
+    whose K is not exactly antisymmetric or S not exactly symmetric, whose
+    S has no Cholesky factor, or whose K or S is nonzero in a block that
+    the flow's parity says vanishes raises NumericalError instead of
     being solved.
     """
     if not isinstance(pencil, EvpPencil):
@@ -199,35 +215,46 @@ def solve_max_m(pencil):
         raise NumericalError("K is not antisymmetric or S is not symmetric; "
                              "the self-adjoint solve does not apply")
     n = S.shape[0]
+    ev, od = np.arange(0, n, 2), np.arange(1, n, 2)
+    k, C = len(ev), np.zeros((n, n))
     try:
-        c = np.linalg.cholesky(S)
+        C[:k, :k], C[k:, k:] = (np.linalg.cholesky(S[np.ix_(p, p)])
+                                for p in (ev, od))
     except np.linalg.LinAlgError as exc:
         raise NumericalError(
             f"energy form is not positive definite: {exc}") from exc
-    ci = np.linalg.inv(c)
-    # c^-1 applied to each row block of K, then to each row block of the
-    # transpose, gives W = Y^T; the two fields share the one factor
-    Z = (ci @ K.reshape(2, n, 2 * n)).reshape(2 * n, 2 * n)
-    W = (ci @ Z.T.reshape(2, n, 2 * n)).reshape(2 * n, 2 * n)
-    Y = 0.5 * (W.T - W)
-    YtY = Y.T @ Y
-    top = np.linalg.eigvalsh(YtY)[-1]
+    P1, P2 = np.r_[ev, n + od], np.r_[n + ev, od]
+    cross = _EVEN_SHEAR[pencil.params.flow]
+    vanish = ((P1, P1), (P2, P2)) if cross else ((P1, P2),)
+    if np.any(S[np.ix_(ev, od)]) or any(np.any(K[np.ix_(r, c)])
+                                        for r, c in vanish):
+        raise NumericalError("K or S couples the parity halves against the "
+                             "flow's parity; the split solve does not apply")
+    Ci = np.linalg.inv(C)
+    blocks = []
+    for rows, cols in ((P1, P2),) if cross else ((P1, P1), (P2, P2)):
+        B = Ci @ K[np.ix_(rows, cols)] @ Ci.T
+        if rows is cols:
+            B = 0.5 * (B - B.T)
+        G = B.T @ B
+        blocks.append((np.linalg.eigvalsh(G)[-1], G, B, rows, cols))
+    top, G, B, rows, cols = max(blocks, key=lambda b: b[0])  # P1 on a tie
     m = float(np.sqrt(max(top, 0.0)))
     if not m > 0:
         raise NumericalError(
             f"largest eigenvalue is non-positive ({m:g}); the growth "
             "ratio must be positive for the supported base states")
-    shifted = YtY - (1.0 + INVERSE_SHIFT) * top * np.eye(YtY.shape[0])
-    # a fixed start vector, free of the grid's reflection symmetry
-    w = np.cos(np.arange(YtY.shape[0]))
+    shifted = G - (1.0 + INVERSE_SHIFT) * top * np.eye(n)
+    w = np.cos(np.arange(n))  # a fixed start vector
     for _ in range(2):
         w = np.linalg.solve(shifted, w)
         w /= np.linalg.norm(w)
-    # solving with c.T keeps the residual at the level of a generalized
-    # Hermitian solve; multiplying by ci.T raises it to 1e-8 at N = 101
-    v = np.column_stack((w, (Y @ w) / m)).reshape(2, n, 2)
-    qr, qi = np.linalg.solve(c.T, v).reshape(2 * n, 2).T
-    q = qr + 1j * qi
+    # solving with C^T keeps the residual at the level of a generalized
+    # Hermitian solve; multiplying by C^-T raises it to 1.5e-9 at N = 101
+    x = np.linalg.solve(C.T, np.column_stack((w, B @ w)))
+    q = np.zeros(2 * n, dtype=complex)
+    q[cols] = x[:, 0]
+    q[rows] += 1j * x[:, 1] / m
     q /= np.linalg.norm(q)
     # rows are the two fields; S and dS are symmetric, so qb @ S is S
     # applied to each field

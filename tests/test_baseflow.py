@@ -29,6 +29,10 @@ def test_params_rejects_zero_hartmann_number():
     dict(flow="couette", Ha=2.0 * HA_CEIL, Pm=0.1),
     dict(flow="couette", Ha=1.0, Pm=0.0),
     dict(flow="hartmann", Ha=1.0, Pm=-0.5),
+    dict(flow="couette", Ha="x", Pm=0.1),
+    dict(flow="couette", Ha=None, Pm=0.1),
+    dict(flow="couette", Ha=1.0, Pm="x"),
+    dict(flow="couette", Ha=[1.0], Pm=0.1),
 ])
 def test_params_validation(kwargs):
     with pytest.raises(ParameterError):

@@ -270,7 +270,8 @@ def test_threshold_is_attained_by_a_solvable_point(wb):
 
 def test_window_validation(wb):
     params = wb.params("couette", 1.0)
-    for bad in ((0.0, 4.0), (-1.0, 4.0), (2.0, 1.0), (np.nan, 4.0)):
+    for bad in ((0.0, 4.0), (-1.0, 4.0), (2.0, 1.0), (np.nan, 4.0),
+                ("x", 4.0), (0.2, np.array([4.0, 5.0]))):
         with pytest.raises(ParameterError):
             minimize_over_a(params, bad[0], bad[1], N=50)
 
@@ -284,6 +285,9 @@ def test_sweep_validation(monkeypatch):
     for bad in ([], [1.0, -2.0], [np.inf], [1.0, 1e9]):
         with pytest.raises(ParameterError):
             neutral_sweep("couette", bad, 0.1)
+    for window in ((0.2,), 3.0):
+        with pytest.raises(ParameterError, match="a_window"):
+            neutral_sweep("couette", [1.0], 0.1, a_window=window)
 
 
 @pytest.mark.parametrize("bad", [["x"], "abc", [[1.0, 2.0]]],

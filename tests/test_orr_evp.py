@@ -31,6 +31,13 @@ HYDRO_ANCHORS = {
 }
 
 
+def parity_halves(n):
+    """Indices of P1 = {w even, l~ odd} and P2 = {w odd, l~ even} in
+    q = (w, l~) of n modal coefficients per field."""
+    ev, od = np.arange(0, n, 2), np.arange(1, n, 2)
+    return np.r_[ev, n + od], np.r_[od, n + ev]
+
+
 def test_mass_matrix_symmetric_positive_definite(wb):
     pen = wb.pencil("couette", 1.0, 1.0, N=50)
     M = pen.S
@@ -228,8 +235,9 @@ def test_assembly_validation(wb):
 
 def test_solve_rejects_non_hermitian_or_indefinite_pencil(wb):
     # the real Cholesky-whitened solve must refuse a pencil without the
-    # real-antisymmetric-over-SPD structure instead of returning a wrong
-    # eigenvalue; the cases reach each of the three guards
+    # real-antisymmetric-over-SPD structure, split by the flow's parity,
+    # instead of returning a wrong eigenvalue; the cases reach each of the
+    # four guards
     rng = np.random.default_rng(3)
     n = 10
     X = rng.standard_normal((2 * n, 2 * n))
@@ -250,10 +258,39 @@ def test_solve_rejects_non_hermitian_or_indefinite_pencil(wb):
         mhdes.solve_max_m(pencil(A, np.eye(n) + 0.1 * B))
     with pytest.raises(NumericalError, match="positive definite"):
         mhdes.solve_max_m(pencil(A, -np.eye(n)))
+    # one tiny entry, kept antisymmetric or symmetric, in a block that the
+    # flow's parity says vanishes: couette's K does not couple w_0 with
+    # w_2, hartmann's K not w_0 with w_1, and S never couples j = 0 and 1
+    for flow, which, (i, j) in (("couette", "K", (0, 2)),
+                                ("hartmann", "K", (0, 1)),
+                                ("couette", "S", (0, 1))):
+        pen = wb.pencil(flow, 10.0, 1.2, N=40)
+        M = getattr(pen, which).copy()
+        M[i, j], M[j, i] = 1e-300, 1e-300 if which == "S" else -1e-300
+        with pytest.raises(NumericalError, match="parity"):
+            mhdes.solve_max_m(dataclasses.replace(pen, **{which: M}))
 
 
 @pytest.mark.parametrize("flow", ["couette", "hartmann"])
-@pytest.mark.parametrize("N", [40, 80])
+@pytest.mark.parametrize("N", [40, 41])
+@pytest.mark.parametrize("Pm", [0.1, 10.0])
+@pytest.mark.parametrize("Ha", [1e-6, 10.0, 300.0])
+def test_vanishing_parity_blocks_are_exact_zeros(wb, flow, N, Pm, Ha):
+    # S couples equal parities only; couette's K couples P1 with P2 alone
+    # and hartmann's K each half with itself, so the rest is never filled
+    pen = wb.pencil(flow, Ha, 1.2, N=N, Pm=Pm)
+    n = pen.S.shape[0]
+    P1, P2 = parity_halves(n)
+    vanish = [(P1, P1), (P2, P2)] if flow == "couette" else [(P1, P2)]
+    for r, c in vanish:
+        assert np.count_nonzero(pen.K[np.ix_(r, c)]) == 0
+    ev, od = np.arange(0, n, 2), np.arange(1, n, 2)
+    assert np.count_nonzero(pen.S[np.ix_(ev, od)]) == 0
+    assert np.count_nonzero(pen.dS[np.ix_(ev, od)]) == 0
+
+
+@pytest.mark.parametrize("flow", ["couette", "hartmann"])
+@pytest.mark.parametrize("N", [40, 41, 80])
 def test_real_solve_matches_hermitian_reference(wb, flow, N):
     # a generalized Hermitian eigh on the complex pencil is the reference
     # route for the real Cholesky-whitened solve
@@ -267,6 +304,22 @@ def test_real_solve_matches_hermitian_reference(wb, flow, N):
             sol = mhdes.solve_max_m(pen)
             assert abs(sol.m - ref) <= 1e-9 * ref
             assert sol.residual <= 1e-8
+
+
+def test_hartmann_eigenvector_lies_in_one_parity_half(wb):
+    # at Pm = 1 and vanishing Ha the velocity and magnetic sectors nearly
+    # coincide; each parity half holds one of them, and the solve returns
+    # q exactly zero on the half it did not pick.  With an identity
+    # injection the returned fields are the modal coefficients themselves
+    for a in (0.5, 1.2, 5.0):
+        pen = wb.pencil("hartmann", 1e-6, a, N=40, Pm=1.0)
+        n = pen.S.shape[0]
+        eye = dataclasses.replace(pen.maps, inject=np.eye(n))
+        sol = mhdes.solve_max_m(dataclasses.replace(pen, maps=eye))
+        assert sol.m == mhdes.solve_max_m(pen).m
+        q = np.concatenate((sol.w_hat, sol.l_hat * pen.params.Ha))
+        halves = [np.count_nonzero(q[P]) for P in parity_halves(n)]
+        assert min(halves) == 0 < max(halves), halves
 
 
 def test_threshold_search_runs_without_scipy_linalg(wb, monkeypatch):
