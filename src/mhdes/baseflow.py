@@ -16,7 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConsistencyError, ParameterError
+from .errors import (ConsistencyError, ParameterError, numbers,
+                     positive_scalar)
+from .spectral import SpectralOperator
 
 FLOWS = ("couette", "hartmann")
 HA_FLOOR = 1.0
@@ -28,12 +30,14 @@ _SERIES_COEF = [(1.0 / math.factorial(2 * j + 2),
                  1.0 / math.factorial(2 * j + 3)) for j in reversed(range(9))]
 
 
-def real_scalar(value, name):
-    """value as a float if it is one real number, not a bool."""
-    if isinstance(value, bool) or not isinstance(
-            value, (int, float, np.integer, np.floating)):
-        raise ParameterError(f"{name} must be a real number, got {value!r}")
-    return float(value)
+def _check_ha(Ha):
+    """Ha as a float if it is finite, > 0 and at most HA_CEIL."""
+    Ha = positive_scalar(Ha, "Ha")
+    if Ha > HA_CEIL:
+        raise ParameterError(
+            f"Ha = {Ha:g} exceeds the supported ceiling {HA_CEIL:g}; "
+            "rescale the problem instead")
+    return Ha
 
 
 @dataclass(frozen=True)
@@ -49,16 +53,8 @@ class Params:
     def __post_init__(self):
         if self.flow not in FLOWS:
             raise ParameterError(f"flow must be one of {FLOWS}, got {self.flow!r}")
-        object.__setattr__(self, "Ha", real_scalar(self.Ha, "Ha"))
-        object.__setattr__(self, "Pm", real_scalar(self.Pm, "Pm"))
-        if not np.isfinite(self.Ha) or self.Ha <= 0:
-            raise ParameterError(f"Ha must be finite and > 0, got {self.Ha}")
-        if self.Ha > HA_CEIL:
-            raise ParameterError(
-                f"Ha = {self.Ha:g} exceeds the supported ceiling {HA_CEIL:g}; "
-                "rescale the problem instead")
-        if not np.isfinite(self.Pm) or self.Pm <= 0:
-            raise ParameterError(f"Pm must be finite and > 0, got {self.Pm}")
+        object.__setattr__(self, "Ha", _check_ha(self.Ha))
+        object.__setattr__(self, "Pm", positive_scalar(self.Pm, "Pm"))
         object.__setattr__(self, "A", self.Ha * self.Ha * self.Pm)
 
 
@@ -83,17 +79,11 @@ class BaseFlowSample:
 
 
 def _check_profile_args(Ha, z):
-    if not np.isfinite(Ha) or Ha <= 0:
-        raise ParameterError(f"Ha must be finite and > 0, got {Ha}")
-    if Ha > HA_CEIL:
-        raise ParameterError(
-            f"Ha = {Ha:g} exceeds the supported ceiling {HA_CEIL:g}")
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    if z.ndim != 1 or z.size == 0:
-        raise ParameterError("z must be a nonempty 1-D array")
-    if not np.all(np.isfinite(z)) or np.any(np.abs(z) > 1.0):
+    Ha, z = _check_ha(Ha), numbers(z, "z")
+    # NaN fails the comparison, so this also refuses non-finite nodes
+    if not np.all(np.abs(z) <= 1.0):
         raise ParameterError("z nodes must be finite and lie in [-1, 1]")
-    return float(Ha), z
+    return Ha, z
 
 
 def _series(t):
@@ -189,17 +179,23 @@ def profile_for(params, z):
     return hartmann_profile(params.Ha, z)
 
 
-def check_sample(sample, params, nodes):
-    """Raise ConsistencyError unless sample was built for params on nodes.
+def check_sample(sample, params, op):
+    """Raise ConsistencyError unless sample was built for params on the
+    nodes of op, and ParameterError if op or sample is of another type.
 
     This is the one bundle check shared by the pencil assembly and the
     verification layer.
     """
+    if not isinstance(op, SpectralOperator):
+        raise ParameterError("expected a SpectralOperator")
+    if not isinstance(sample, BaseFlowSample):
+        raise ParameterError("expected a BaseFlowSample")
     if sample.flow != params.flow or sample.Ha != params.Ha:
         raise ConsistencyError(
             f"sample is for flow={sample.flow!r}, Ha={sample.Ha:g}; params "
             f"specify flow={params.flow!r}, Ha={params.Ha:g}")
-    if sample.z.shape != nodes.shape or not np.array_equal(sample.z, nodes):
+    # array_equal also compares the shapes
+    if not np.array_equal(sample.z, op.nodes):
         raise ConsistencyError("sample nodes differ from operator nodes")
 
 

@@ -34,8 +34,9 @@ import numpy as np
 from .baseflow import FLOWS, Params, profile_for
 from .critical import neutral_sweep
 from .errors import (ConsistencyError, MhdesError, NumericalError,
-                     ParameterError, VerificationError)
-from .orr_evp import _numbers, assemble_pencil, reynolds_curve, solve_max_m
+                     ParameterError, VerificationError, integer_in, numbers,
+                     positive_scalar)
+from .orr_evp import assemble_pencil, reynolds_curve, solve_max_m
 from .spectral import N_MAX, N_MIN, build_operator, clamped_restrict
 from .verify import (_decay_terms, _random_clamped_fields, decay_check,
                      energy_ratio, fd_oracle, make_trial_field, poincare_check,
@@ -78,32 +79,20 @@ class RunConfig:
     format: str = "csv"
 
     def __post_init__(self):
-        if self.flow not in FLOWS:
-            raise ParameterError(f"flow must be one of {FLOWS}, got {self.flow!r}")
-        for name in ("Pm", "a_min", "a_max"):
-            v = float(getattr(self, name))
-            if not np.isfinite(v) or v <= 0:
-                raise ParameterError(f"{name} must be finite and > 0, got {v}")
-            object.__setattr__(self, name, v)
-        ha = tuple(float(v) for v in _numbers(self.Ha_list, "Ha_list"))
-        for v in ha:
-            Params(flow=self.flow, Ha=v, Pm=self.Pm)  # the one Ha check
-        object.__setattr__(self, "Ha_list", ha)
+        # Params checks the flow, each Ha and Pm
+        points = [Params(flow=self.flow, Ha=Ha, Pm=self.Pm)
+                  for Ha in numbers(self.Ha_list, "Ha_list")]
+        object.__setattr__(self, "Ha_list", tuple(p.Ha for p in points))
+        object.__setattr__(self, "Pm", points[0].Pm)
+        for name in ("a_min", "a_max"):
+            object.__setattr__(self, name,
+                               positive_scalar(getattr(self, name), name))
         if not self.a_min < self.a_max:
             raise ParameterError(
                 f"need a_min < a_max, got [{self.a_min}, {self.a_max}]")
-        for name in ("N", "seed", "a_points"):
-            v = getattr(self, name)
-            # int() would truncate 20.9 to 20 and read true as 1
-            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
-                raise ParameterError(f"{name} must be an integer, got {v!r}")
-            object.__setattr__(self, name, int(v))
-        if self.a_points < 1:
-            raise ParameterError("a_points must be at least 1")
-        if not (N_MIN <= self.N <= N_MAX):
-            raise ParameterError(f"N must lie in [{N_MIN}, {N_MAX}], got {self.N}")
-        if self.seed < 0:
-            raise ParameterError("seed must be >= 0")
+        for name, *bounds in (("N", N_MIN, N_MAX), ("seed", 0), ("a_points", 1)):
+            object.__setattr__(self, name,
+                               integer_in(getattr(self, name), name, *bounds))
         if self.format not in ("csv", "json"):
             raise ParameterError(f"format must be csv or json, got {self.format!r}")
         if not isinstance(self.output_path, str) or not self.output_path:

@@ -19,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baseflow import Params, profile_for, real_scalar
-from .errors import NumericalError, ParameterError
-from .orr_evp import _numbers, _setup, pencil_forms, solve_max_m
+from .baseflow import Params, profile_for
+from .errors import NumericalError, ParameterError, numbers, positive_scalar
+from .orr_evp import _setup, pencil_forms, solve_max_m
 
 log = logging.getLogger(__name__)
 
@@ -59,10 +59,10 @@ def minimize_over_a(params, a_min=0.2, a_max=4.0, N=60):
     warning per minimum; if the walk's first solve fails, a NumericalError
     naming its error is raised.
     """
-    a_min, a_max = real_scalar(a_min, "a_min"), real_scalar(a_max, "a_max")
-    if not (np.isfinite(a_min) and np.isfinite(a_max)) or not 0 < a_min < a_max:
-        raise ParameterError(
-            f"need 0 < a_min < a_max, got [{a_min}, {a_max}]")
+    a_min = positive_scalar(a_min, "a_min")
+    a_max = positive_scalar(a_max, "a_max")
+    if not a_min < a_max:
+        raise ParameterError(f"need a_min < a_max, got [{a_min}, {a_max}]")
     op, maps = _setup(N)
     forms = pencil_forms(params, op, profile_for(params, op.nodes), maps)
 
@@ -160,8 +160,8 @@ def neutral_sweep(flow, Ha_list, Pm, a_window=(0.2, 4.0), N=60):
     yields a NaN point flagged converged=False so the remaining sweep still
     completes.
     """
-    points = [Params(flow=flow, Ha=float(Ha), Pm=Pm)
-              for Ha in _numbers(Ha_list, "Ha_list")]
+    points = [Params(flow=flow, Ha=Ha, Pm=Pm)
+              for Ha in numbers(Ha_list, "Ha_list")]
     try:
         a_min, a_max = a_window
     except (TypeError, ValueError) as exc:

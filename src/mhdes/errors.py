@@ -1,9 +1,15 @@
-"""Exception hierarchy shared by all mhdes modules.
+"""Exception hierarchy shared by all mhdes modules, and the input checks
+that raise its ParameterError.
 
 The command line maps these onto process exit codes: parameter and usage
 problems exit 2, numerical solver failures exit 3, and failed verification
-checks exit 4.
+checks exit 4.  Every layer checks a caller's numbers and counts with the
+four checks below, so the library and the command line refuse alike.
 """
+
+import math
+
+import numpy as np
 
 
 class MhdesError(Exception):
@@ -34,3 +40,42 @@ class VerificationError(MhdesError):
     def __init__(self, message, report=None):
         super().__init__(message)
         self.report = report
+
+
+def real_scalar(value, name):
+    """value as a float if it is one real number, not a bool."""
+    if isinstance(value, bool) or not isinstance(
+            value, (int, float, np.integer, np.floating)):
+        raise ParameterError(f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
+def positive_scalar(value, name):
+    """value as a float if it is one finite real number > 0."""
+    value = real_scalar(value, name)
+    if not (math.isfinite(value) and value > 0):
+        raise ParameterError(f"{name} must be finite and > 0, got {value}")
+    return value
+
+
+def integer_in(value, name, low, high=math.inf):
+    """value as an int if it is an integer, not a bool, in [low, high]."""
+    # int() would truncate 20.9 to 20 and read True as 1
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ParameterError(f"{name} must be an integer, got {value!r}")
+    if not low <= value <= high:
+        bounds = f">= {low}" if high == math.inf else f"in [{low}, {high}]"
+        raise ParameterError(f"{name} must be an integer {bounds}, got {value}")
+    return int(value)
+
+
+def numbers(values, name):
+    """values as a nonempty 1-D float array, else a ParameterError."""
+    try:
+        arr = np.atleast_1d(np.asarray(values, dtype=float))
+    except (TypeError, ValueError) as exc:
+        raise ParameterError(f"{name} must hold numbers: {exc}") from exc
+    if arr.ndim != 1 or arr.size == 0:
+        raise ParameterError(f"{name} must be a nonempty 1-D sequence, got "
+                             f"shape {arr.shape}")
+    return arr

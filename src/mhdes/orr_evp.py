@@ -41,9 +41,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baseflow import BaseFlowSample, Params, check_sample, profile_for
-from .errors import ConsistencyError, NumericalError, ParameterError
-from .spectral import ClampedMaps, SpectralOperator, build_operator, clamped_restrict
+from .baseflow import Params, check_sample, profile_for
+from .errors import (ConsistencyError, NumericalError, ParameterError,
+                     integer_in, numbers, positive_scalar)
+from .spectral import N_MAX, N_MIN, ClampedMaps, build_operator, clamped_restrict
 
 log = logging.getLogger(__name__)
 
@@ -93,9 +94,7 @@ def _setup(N):
     """Operator and clamped maps at N, kept for the next search at that N.
     N is checked here, since the cache hashes it before build_operator
     could reject it."""
-    if isinstance(N, bool) or not isinstance(N, (int, np.integer)):
-        raise ParameterError(f"N must be an integer, got {N!r}")
-    return _cached_setup(int(N))
+    return _cached_setup(integer_in(N, "N", N_MIN, N_MAX))
 
 
 @functools.lru_cache(maxsize=1)
@@ -146,11 +145,7 @@ def pencil_forms(params, op, sample, maps):
     """Build the wavenumber-free forms of the clamped pencil on their
     nonvanishing parity blocks.  op, sample, and maps must describe the
     same grid and parameters; mismatches raise ConsistencyError."""
-    if not isinstance(op, SpectralOperator):
-        raise ParameterError("the pencil forms need a SpectralOperator")
-    if not isinstance(sample, BaseFlowSample):
-        raise ParameterError("the pencil forms need a BaseFlowSample")
-    check_sample(sample, params, op.nodes)
+    check_sample(sample, params, op)
     if maps.inject.shape != (op.N + 1, op.N - 3):
         raise ConsistencyError("clamped maps do not match the operator order")
     qw, R, G1, G2 = op.qweights, maps.inject, maps.basis_d1, maps.basis_d2
@@ -172,9 +167,8 @@ def _assemble(params, a, op, sample, maps):
 
 def assemble_pencil(params, a, op, sample, maps):
     """Assemble the clamped pencil for wavenumber a > 0 (see pencil_forms)."""
-    if not np.isfinite(a) or a <= 0:
-        raise ParameterError(f"wavenumber a must be finite and > 0, got {a}")
-    return _assemble(params, a, op, sample, maps)
+    return _assemble(params, positive_scalar(a, "wavenumber a"), op, sample,
+                     maps)
 
 
 def solve_max_m(pencil):
@@ -269,18 +263,6 @@ def solve_max_m(pencil):
                        l_hat=l_hat, residual=residual)
 
 
-def _numbers(values, name):
-    """values as a nonempty 1-D float array, else a ParameterError."""
-    try:
-        arr = np.atleast_1d(np.asarray(values, dtype=float))
-    except (TypeError, ValueError) as exc:
-        raise ParameterError(f"{name} must hold numbers: {exc}") from exc
-    if arr.ndim != 1 or arr.size == 0:
-        raise ParameterError(f"{name} must be a nonempty 1-D sequence, got "
-                             f"shape {arr.shape}")
-    return arr
-
-
 def reynolds_curve(params, a_grid, N=60):
     """Threshold curve Re_a = 1/m over a nonempty 1-D grid of wavenumbers
     a > 0, on the operator and maps shared with minimize_over_a at N.
@@ -290,9 +272,9 @@ def reynolds_curve(params, a_grid, N=60):
     a sweep survives isolated bad points; if every point fails, a
     NumericalError naming the first error is raised.
     """
-    a_grid = _numbers(a_grid, "a_grid")
-    if not np.all(np.isfinite(a_grid)) or np.any(a_grid <= 0):
-        raise ParameterError("a_grid entries must be finite and > 0")
+    a_grid = numbers(a_grid, "a_grid")
+    for a in a_grid:
+        positive_scalar(a, "a_grid entries")
     op, maps = _setup(N)
     forms = pencil_forms(params, op, profile_for(params, op.nodes), maps)
     out = []

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.polynomial.chebyshev as ncheb
 
-from .errors import ParameterError
+from .errors import ParameterError, integer_in
 
 N_MIN = 8
 N_MAX = 512
@@ -103,13 +103,10 @@ def _clencurt(N):
 
 def build_operator(N):
     """Build the collocation bundle of order N (8 <= N <= 512)."""
-    if not isinstance(N, (int, np.integer)):
-        raise ParameterError(f"N must be an integer, got {N!r}")
-    if not (N_MIN <= N <= N_MAX):
-        raise ParameterError(f"N must lie in [{N_MIN}, {N_MAX}], got {N}")
-    x, D1 = _chebdif(int(N))
-    w = _clencurt(int(N))
-    return SpectralOperator(N=int(N), nodes=x, D1=D1, qweights=w)
+    N = integer_in(N, "N", N_MIN, N_MAX)
+    x, D1 = _chebdif(N)
+    w = _clencurt(N)
+    return SpectralOperator(N=N, nodes=x, D1=D1, qweights=w)
 
 
 def clamped_restrict(op):

@@ -18,10 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.polynomial.chebyshev as ncheb
 
-from .baseflow import BaseFlowSample, check_sample, profile_for
+from .baseflow import check_sample, profile_for
 from .errors import (ConsistencyError, NumericalError, ParameterError,
-                     VerificationError)
-from .spectral import SpectralOperator, build_operator
+                     VerificationError, integer_in, positive_scalar,
+                     real_scalar)
+from .spectral import build_operator
 
 log = logging.getLogger(__name__)
 
@@ -88,7 +89,7 @@ def make_trial_field(a, w_hat, l_hat, op):
     The in-plane components follow from incompressibility and the
     corresponding magnetic constraint for a single mode of wavenumber a.
     """
-    _check_wavenumber(a)
+    a = _check_wavenumber(a)
     w_hat = np.asarray(w_hat, dtype=complex)
     l_hat = np.asarray(l_hat, dtype=complex)
     if w_hat.shape != op.nodes.shape or l_hat.shape != op.nodes.shape:
@@ -97,8 +98,11 @@ def make_trial_field(a, w_hat, l_hat, op):
 
 
 def _check_wavenumber(a):
-    if not np.isfinite(a) or a == 0:
+    """a as a float if it is one finite nonzero real number, of either sign."""
+    a = real_scalar(a, "wavenumber a")
+    if not math.isfinite(a) or a == 0:
         raise ParameterError(f"wavenumber a must be finite and nonzero, got {a}")
+    return a
 
 
 def _ddz(f, op):
@@ -141,11 +145,7 @@ def _random_clamped_fields(rng, count, a, op):
 
 
 def _check_bundle(field, params, sample, op):
-    if not isinstance(op, SpectralOperator):
-        raise ParameterError("expected a SpectralOperator")
-    if not isinstance(sample, BaseFlowSample):
-        raise ParameterError("expected a BaseFlowSample")
-    check_sample(sample, params, op.nodes)
+    check_sample(sample, params, op)
     if field.w_hat.shape != op.nodes.shape:
         raise ConsistencyError("field arrays do not match the operator nodes")
 
@@ -194,15 +194,9 @@ def energy_ratio(field, params, sample, op, Re=None):
                            _functionals(field, params, sample, op))
     dEdt = None
     if Re is not None:
-        _check_reynolds(Re)
-        dEdt = prod - diss1 / Re
+        dEdt = prod - diss1 / positive_scalar(Re, "Re")
     return EnergyBreakdown(I=prod, D1=diss1, D=diss1, ratio=prod / diss1,
                            E=energy, dEdt=dEdt)
-
-
-def _check_reynolds(Re):
-    if not np.isfinite(Re) or Re <= 0:
-        raise ParameterError(f"Re must be finite and > 0, got {Re}")
 
 
 def _serialize_pair(cw, cl):
@@ -224,12 +218,10 @@ def random_trial_bound(params, a, m_claimed, trials=1000, seed=0, N=60,
     field; otherwise the maximum ratio and its gap to the claim are
     returned.  The random trials are drawn and evaluated as one batch.
     """
-    _check_wavenumber(a)
-    if not np.isfinite(m_claimed) or m_claimed <= 0:
-        raise ParameterError(f"m_claimed must be finite and > 0, got {m_claimed}")
-    for name, v, low in (("trials", trials, 1), ("seed", seed, 0)):
-        if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < low:
-            raise ParameterError(f"{name} must be an integer >= {low}, got {v!r}")
+    a = _check_wavenumber(a)
+    m_claimed = positive_scalar(m_claimed, "m_claimed")
+    trials = integer_in(trials, "trials", 1)
+    seed = integer_in(seed, "seed", 0)
     op = build_operator(N)
     sample = profile_for(params, op.nodes)
     limit = m_claimed * (1.0 + TRIAL_RTOL)
@@ -238,11 +230,11 @@ def random_trial_bound(params, a, m_claimed, trials=1000, seed=0, N=60,
         report = {
             "params": {"flow": params.flow, "Ha": params.Ha,
                        "Pm": params.Pm, "A": params.A},
-            "a": float(a),
-            "seed": int(seed),
+            "a": a,
+            "seed": seed,
             "trial_index": int(index),
             "ratio": float(ratio),
-            "m_claimed": float(m_claimed),
+            "m_claimed": m_claimed,
             "field_coefficients": _serialize_pair(cw, cl),
         }
         return VerificationError(
@@ -256,7 +248,7 @@ def random_trial_bound(params, a, m_claimed, trials=1000, seed=0, N=60,
         if ratio > limit:
             raise falsified(-(k + 1), ratio, field.w_hat, field.l_hat)
     cw, cl, fields = _random_clamped_fields(np.random.default_rng(seed),
-                                            int(trials), a, op)
+                                            trials, a, op)
     prod, diss1, _ = _functionals(fields, params, sample, op)
     ratios = prod / diss1
     over = np.flatnonzero(ratios > limit)
@@ -264,19 +256,18 @@ def random_trial_bound(params, a, m_claimed, trials=1000, seed=0, N=60,
         t = int(over[0])
         raise falsified(t, ratios[t], cw[t], cl[t])
     max_ratio = max(max_ratio, float(np.max(ratios)))
-    return {"max_ratio": float(max_ratio),
-            "gap": float(m_claimed - max_ratio),
-            "m_claimed": float(m_claimed),
-            "trials": int(trials),
-            "seed": int(seed)}
+    return {"max_ratio": max_ratio,
+            "gap": m_claimed - max_ratio,
+            "m_claimed": m_claimed,
+            "trials": trials,
+            "seed": seed}
 
 
 def _decay_terms(field, params, Re, Re_E, sample, op):
     """dEdt and the decay bound (1/Re_E - 1/Re) D + 1e-10 |D| of a field,
     or of a batch of fields (then arrays over rows)."""
-    if not np.isfinite(Re_E) or Re_E <= 0:
-        raise ParameterError(f"Re_E must be finite and > 0, got {Re_E}")
-    _check_reynolds(Re)
+    Re_E = positive_scalar(Re_E, "Re_E")
+    Re = positive_scalar(Re, "Re")
     prod, diss, _ = _functionals(field, params, sample, op)
     dEdt = prod - diss / Re
     bound = (1.0 / Re_E - 1.0 / Re) * diss + DECAY_SLACK * np.abs(diss)
@@ -435,10 +426,8 @@ def fd_oracle(params, a, M=300):
     relative accuracy floor on grids of several thousand cells, far inside
     the tolerance this oracle is used to certify.
     """
-    if not np.isfinite(a) or a <= 0:
-        raise ParameterError(f"wavenumber a must be finite and > 0, got {a}")
-    if not isinstance(M, (int, np.integer)) or M < 200:
-        raise ParameterError(f"M must be an integer >= 200, got {M!r}")
-    m1 = _fd_max_m(params, a, int(M))
-    m2 = _fd_max_m(params, a, 2 * int(M))
+    a = positive_scalar(a, "wavenumber a")
+    M = integer_in(M, "M", 200)
+    m1 = _fd_max_m(params, a, M)
+    m2 = _fd_max_m(params, a, 2 * M)
     return m2 + (m2 - m1) / 3.0

@@ -51,9 +51,10 @@ def test_profile_rejects_bad_nodes(z):
 
 def test_profile_rejects_bad_hartmann_number():
     z = np.linspace(-1.0, 1.0, 5)
-    for Ha in (0.0, -2.0, np.inf, 2.0 * HA_CEIL):
-        with pytest.raises(ParameterError):
-            hartmann_profile(Ha, z)
+    for profile in (couette_profile, hartmann_profile):
+        for Ha in (0.0, -2.0, np.inf, np.nan, 2.0 * HA_CEIL, "x", None, True):
+            with pytest.raises(ParameterError, match="Ha"):
+                profile(Ha, z)
 
 
 def test_wall_driven_walls_and_centerline(wb):

@@ -246,7 +246,12 @@ def test_bad_config_files_are_usage_errors(tmp_path):
             ("verify", '{"seed": 2.5}', "seed must be an integer, got 2.5"),
             ("profile", '{"N": true}', "N must be an integer, got True"),
             ("profile", '{"Ha_list": "abc"}', "Ha_list must hold numbers"),
-            ("profile", '{"Ha_list": [[1.0, 2.0]]}', "Ha_list must be a")):
+            ("profile", '{"Ha_list": [[1.0, 2.0]]}', "Ha_list must be a"),
+            # values that float() would crash on or read as 1.0
+            ("profile", '{"Pm": "abc"}', "Pm"),
+            ("neutral", '{"a_min": null}', "a_min"),
+            ("neutral", '{"a_max": [1]}', "a_max"),
+            ("profile", '{"Pm": true}', "Pm")):
         cfg = tmp_path / "bad_value.json"
         cfg.write_text(text)
         proc = run_cli(cmd, "--config", str(cfg))

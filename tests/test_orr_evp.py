@@ -221,6 +221,9 @@ def test_assembly_validation(wb):
         mhdes.assemble_pencil(params, 0.0, op, sample, mp)
     with pytest.raises(ParameterError):
         mhdes.assemble_pencil(params, -1.2, op, sample, mp)
+    for bad in ("x", None, True, np.nan):
+        with pytest.raises(ParameterError, match="wavenumber"):
+            mhdes.assemble_pencil(params, bad, op, sample, mp)
     with pytest.raises(ConsistencyError):
         mhdes.assemble_pencil(wb.params("couette", 2.0), 1.2, op, sample, mp)
     with pytest.raises(ConsistencyError):

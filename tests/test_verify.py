@@ -23,6 +23,9 @@ from mhdes.verify import (POINCARE_BOUND, TRIAL_RTOL, _fd_max_m, _functionals,
 ENVELOPE_D1_A1 = 1408.0 / 45.0
 MODULATED_I = 115968.0 - 88320.0 / np.tanh(1.0)
 MODULATED_D1 = 177664.0 / 3465.0
+# a string, a missing value, a bool and NaN: each scalar argument refuses
+# all four with ParameterError
+BAD_NUMBERS = ("x", None, True, np.nan)
 
 
 def envelope_field(wb, N=60, a=1.0, modulated=False):
@@ -238,6 +241,11 @@ def test_trial_bound_validation(wb):
         with pytest.raises(ParameterError):
             mhdes.random_trial_bound(params, 1.2, 1.0, trials=trials,
                                      seed=seed)
+    for bad in BAD_NUMBERS:
+        with pytest.raises(ParameterError, match="wavenumber"):
+            mhdes.random_trial_bound(params, bad, 1.0, trials=10, seed=0)
+        with pytest.raises(ParameterError, match="m_claimed"):
+            mhdes.random_trial_bound(params, 1.2, bad, trials=10, seed=0)
 
 
 def test_decay_certificate_below_threshold(wb, rng):
@@ -296,6 +304,21 @@ def test_decay_check_validation(wb):
                           wb.sample("couette", 1.0, 60), wb.op(60))
 
 
+@pytest.mark.parametrize("bad", BAD_NUMBERS)
+def test_field_functionals_reject_bad_scalars(wb, bad):
+    op, fld = wb.op(60), envelope_field(wb)
+    params, sample = wb.params("couette", 1.0), wb.sample("couette", 1.0, 60)
+    with pytest.raises(ParameterError, match="wavenumber"):
+        mhdes.make_trial_field(bad, fld.w_hat, fld.l_hat, op)
+    if bad is not None:  # Re=None asks for no dEdt
+        with pytest.raises(ParameterError, match="Re must"):
+            mhdes.energy_ratio(fld, params, sample, op, Re=bad)
+    with pytest.raises(ParameterError, match="Re must"):
+        mhdes.decay_check(fld, params, bad, 10.0, sample, op)
+    with pytest.raises(ParameterError, match="Re_E"):
+        mhdes.decay_check(fld, params, 10.0, bad, sample, op)
+
+
 def test_poincare_envelope_and_taper(wb):
     op = wb.op(60)
     fld = envelope_field(wb)
@@ -335,6 +358,9 @@ def test_fd_oracle_validation(wb):
         mhdes.fd_oracle(params, 1.2, M=100)
     with pytest.raises(ParameterError):
         mhdes.fd_oracle(params, 1.2, M=250.5)
+    for bad in BAD_NUMBERS:
+        with pytest.raises(ParameterError, match="wavenumber"):
+            mhdes.fd_oracle(params, bad, M=300)
 
 
 def test_fd_oracle_agrees_with_spectral_solver(wb):
