@@ -5,15 +5,15 @@ state, ``curve`` tabulates the threshold Reynolds number over wavenumber,
 ``neutral`` locates the minimizing wavenumber per Hartmann number, and
 ``verify`` runs the independent checks against the spectral solver.
 Only ``curve`` takes a wavenumber grid (``--a-points``, 40 log-spaced
-points by default); ``neutral`` brackets each minimum by a slope walk
-over the window and rejects the flag like the other commands.  All
-numeric output uses 17-significant-digit scientific notation and contains
-no timestamps, so reruns at a fixed BLAS thread setting are byte-identical;
-at another thread count the last digits can differ, since BLAS sums in
-another order.  ``curve`` and ``neutral`` run the library sweeps
-``reynolds_curve`` and ``neutral_sweep`` one Hartmann number after another;
-a point that fails to solve is printed as NaN and the remaining points are
-still computed.  Warnings of the library (a point
+points by default); ``neutral`` steps to each minimum by the
+frozen-eigenvector search over the window and rejects the flag like the
+other commands.  All numeric output uses 17-significant-digit scientific
+notation and contains no timestamps, so reruns at a fixed BLAS thread
+setting are byte-identical; at another thread count the last digits can
+differ, since BLAS sums in another order.  ``curve`` and ``neutral`` run
+the library sweeps ``reynolds_curve`` and ``neutral_sweep`` one Hartmann
+number after another; a point that fails to solve is printed as NaN and
+the remaining points are still computed.  Warnings of the library (a point
 or a whole Hartmann number that failed) reach stderr through one logging
 handler, prefixed ``mhdes: warning:`` like the command's own messages.
 
@@ -201,8 +201,9 @@ def cmd_curve(config):
 
 
 def cmd_neutral(config):
-    """Locate the threshold minimum per Hartmann number by the slope walk
-    over [a_min, a_max]; a_points plays no part."""
+    """Locate the threshold minimum per Hartmann number by the
+    frozen-eigenvector search over [a_min, a_max]; a_points plays no
+    part."""
     points = neutral_sweep(config.flow, config.Ha_list, config.Pm,
                            a_window=(config.a_min, config.a_max), N=config.N)
     rows = [[p.flow, p.Ha, p.Pm, p.a_crit, p.Re_E, p.N_used, p.converged]

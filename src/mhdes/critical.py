@@ -1,23 +1,21 @@
 """Critical threshold search over the spanwise wavenumber.
 
 The monotone-stability bound for a parameter set is Re_E = min over a of
-Re_a(a) = 1/m(a).  Every solve returns the slope dm/da alongside m
-(Hellmann-Feynman), so the maximum of m is located from the slope alone.
-A walk from the window's geometric midpoint, by factors of two in the
-direction the slope points, brackets the slope's sign change, and a
-safeguarded secant search refines its zero at one solve per step.  The
-best value ever seen is kept, so refinement never reports a worse point
-than the walk.  A minimum that lands on the window edge is returned with
-converged=False since the true minimizer may lie outside.  The operator and
-clamped maps depend on N alone, so consecutive searches at one N, such as
-the points of a Hartmann-number sweep, build them once.
+Re_a(a) = 1/m(a).  K is linear in a and the energy form is
+S = Q2 + 2 a^2 Q1 + a^4 Q0, so the eigenvector solved at a gives in closed
+form the wavenumber T(a) that minimizes Re_a with that eigenvector held
+fixed: T(a) = a exactly where dm/da = 0, and Re_a(T(a)) <= Re_a(a).  The
+search takes secant steps on log T(a) - log a from the window's geometric
+midpoint, with T itself as the fallback step, at one solve per step.  The
+best value ever seen is kept.  A minimum that lands on the window edge is
+returned with converged=False since the true minimizer may lie outside.
+The operator and clamped maps depend on N alone, so consecutive searches
+at one N, such as the points of a Hartmann-number sweep, build them once.
 """
 
 import logging
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .baseflow import Params, profile_for
 from .errors import NumericalError, ParameterError, numbers, positive_scalar
@@ -44,20 +42,18 @@ class NeutralPoint:
 def minimize_over_a(params, a_min=0.2, a_max=4.0, N=60):
     """Minimize Re_a over wavenumbers in [a_min, a_max].
 
-    The maximum of m lies where the slope dm/da changes sign.  A walk
-    brackets it: from the window's geometric midpoint, steps by a factor of
-    2 in the direction the slope points, clamped to the window, until the
-    slope changes sign (about 10 solves per minimum at N = 60); this relies
-    on Re_a having a single local minimum in the window.  The bracket is
-    refined by a safeguarded secant search on the slope (Illinois steps,
-    with bisection when the bracket stops halving) until a plain secant
-    step moves less than A_TOL or the bracket is narrower than A_TOL after
-    a step that cannot overshoot.  The best value ever solved is returned.
-    A minimum on the window edge, where the slope points out of the
-    window, or a search cut short by a failed solve or a missing bracket,
-    is returned with converged=False.  Failed solves are counted in one
-    warning per minimum; if the walk's first solve fails, a NumericalError
-    naming its error is raised.
+    From the window's geometric midpoint, each step goes to the secant zero
+    of h(a) = log T(a) - log a in log a, or to T(a) (see
+    PencilForms.frozen_argmin) where there is no earlier point or the secant
+    point leaves the window, clamped to the window; about 6 solves per
+    minimum at N = 60.  T never ascends, so no bracket is needed; if Re_a
+    had several local minima in the window, the search would settle on one
+    of them, not necessarily the lowest.  The search stops once a step has
+    moved a by at most A_TOL and returns the best value ever solved.  A
+    minimum on the window edge, where T points out of the window, or a
+    search cut short by a failed solve, is returned with converged=False.
+    Failed solves are counted in one warning per minimum; if the first solve
+    fails, a NumericalError naming its error is raised.
     """
     a_min = positive_scalar(a_min, "a_min")
     a_max = positive_scalar(a_max, "a_max")
@@ -75,10 +71,10 @@ def minimize_over_a(params, a_min=0.2, a_max=4.0, N=60):
             sol = solve_max_m(forms.at(a))
         except NumericalError as exc:
             failures.append((a, exc))
-            return math.inf, math.nan
+            return math.nan
         if sol.Re_a < best_re:
             best_a, best_re = a, sol.Re_a
-        return sol.Re_a, sol.dm_da
+        return forms.frozen_argmin(sol.q)
 
     def point(converged):
         if failures:
@@ -90,66 +86,38 @@ def minimize_over_a(params, a_min=0.2, a_max=4.0, N=60):
                             a_crit=best_a, Re_E=best_re, N_used=op.N,
                             converged=converged)
 
-    # walk by factors of two up the slope, clamped to the window; the last
-    # two points bracket the slope's zero unless the walk ended at the
-    # window edge or on a failed solve
-    a = math.sqrt(a_min * a_max)
-    cur = (a, solve_at(a)[1])
-    if failures:
-        raise NumericalError(
-            f"first threshold solve failed for {params}: {failures[0][1]}")
-    prev, up = cur, cur[1] > 0
-    edge = a_max if up else a_min
-    while (cur[1] > 0 if up else cur[1] < 0) and a != edge:
-        a = min(2.0 * a, a_max) if up else max(0.5 * a, a_min)
-        prev, cur = cur, (a, solve_at(a)[1])
-    # m peaks where its slope changes sign from + to -
-    (lo, g_lo), (hi, g_hi) = sorted((prev, cur))
-    if not g_lo > 0 > g_hi:
-        return point(converged=False)
-    x = best_a
-    widths = [hi - lo]
-    kept, halved, step = 0, False, None
-    # an Illinois step (one taken with a halved end slope) overshoots the
-    # peak on purpose, so the bracket it leaves is no place to stop
-    while hi - lo > A_TOL or step == "illinois":
-        x_prev = x
-        x = hi - g_hi * (hi - lo) / (g_hi - g_lo)
-        step = "illinois" if halved else "secant"
-        # bisect if the secant point leaves the bracket or the bracket has
-        # not halved over the last three steps
-        if not lo < x < hi or (len(widths) > 3
-                               and hi - lo > 0.5 * widths[-4]):
-            x, step = 0.5 * (lo + hi), "bisect"
-        _, g = solve_at(x)
-        if not np.isfinite(g):
+    # secant steps on h(a) = log T(a) - log a in log a, or T itself where
+    # there is no secant or its point leaves the window; clamped in a, so
+    # a step onto an edge lands on it exactly
+    a, last = math.sqrt(a_min * a_max), None
+    while True:
+        t = solve_at(a)
+        if failures:
+            if last is None:
+                raise NumericalError(f"first threshold solve failed for "
+                                     f"{params}: {failures[0][1]}")
             return point(converged=False)
-        # Illinois: halve the slope held at an end that survives twice
-        if g > 0:
-            halved = kept == 1
-            if halved:
-                g_hi *= 0.5
-            lo, g_lo, kept = x, g, 1
-        elif g < 0:
-            halved = kept == -1
-            if halved:
-                g_lo *= 0.5
-            hi, g_hi, kept = x, g, -1
-        else:
-            break
-        widths.append(hi - lo)
-        # a plain secant step converges superlinearly, so once it moves
-        # less than A_TOL its point is far closer than that to the peak
-        if step == "secant" and abs(x - x_prev) <= A_TOL:
-            break
-    return point(converged=True)
+        h = math.log(t / a)
+        x = t
+        if last is not None and h != last[1]:
+            secant = a * math.exp(h * math.log(last[0] / a) / (h - last[1]))
+            if a_min <= secant <= a_max:
+                x = secant
+        x = min(max(x, a_min), a_max)
+        # the clamped step stays put only on an edge that T points out of,
+        # or where h is exactly zero
+        if x == a:
+            return point(converged=a_min < a < a_max)
+        if last is not None and abs(a - last[0]) <= A_TOL:
+            return point(converged=True)
+        last, a = (a, h), x
 
 
 def neutral_sweep(flow, Ha_list, Pm, a_window=(0.2, 4.0), N=60):
     """Threshold points for each Hartmann number in Ha_list, input order.
 
-    Each point is a minimize_over_a search over a_window.  The walks are
-    not seeded from the previous point, so a row does not depend on the
+    Each point is a minimize_over_a search over a_window.  The searches
+    are not seeded from the previous point, so a row does not depend on the
     other Hartmann numbers of the sweep.  Ha_list must be a nonempty 1-D
     sequence of numbers, and every parameter point is validated (as a
     Params) before the first search; the first search checks the window

@@ -72,6 +72,12 @@ def integer_in(value, name, low, high=math.inf):
 def numbers(values, name):
     """values as a nonempty 1-D float array, else a ParameterError."""
     try:
+        # a float array would read a bool entry as 1.0; a numeric ndarray
+        # holds none, so only other inputs are scanned
+        numeric = isinstance(values, np.ndarray) and values.dtype.kind in "iuf"
+        if not numeric and any(isinstance(v, (bool, np.bool_)) for v in
+                               np.ravel(np.asarray(values, dtype=object))):
+            raise TypeError(f"a bool is not a number: {values!r}")
         arr = np.atleast_1d(np.asarray(values, dtype=float))
     except (TypeError, ValueError) as exc:
         raise ParameterError(f"{name} must hold numbers: {exc}") from exc

@@ -77,16 +77,18 @@ class EvpPencil:
 @dataclass(frozen=True, eq=False)
 class EvpSolution:
     """Largest eigenvalue m, its slope dm/da, the threshold Re_a = 1/m,
-    the full-grid eigenfields, and the pencil residual of the returned
-    pair with the eigenvector at unit 2-norm.  The eigenvector and the
+    the full-grid eigenfields, the modal eigenvector q, and the pencil
+    residual of the returned pair with q at unit 2-norm.  q and the
     residual are in modal coordinates: the coefficients of the clamped
-    basis functions (1 - z^2)^2 T_j, not nodal values."""
+    basis functions (1 - z^2)^2 T_j, not nodal values; q has shape (2, n),
+    its rows w and l~."""
 
     m: float
     dm_da: float
     Re_a: float
     w_hat: np.ndarray
     l_hat: np.ndarray
+    q: np.ndarray
     residual: float
 
 
@@ -129,6 +131,18 @@ class PencilForms:
         return EvpPencil(a=a, K=np.block([[V, -0.5 * C], [0.5 * C, -Pm * V]]),
                          S=0.5 * (S + S.T), dS=0.5 * (dS + dS.T),
                          params=self.params, maps=self.maps)
+
+    def frozen_argmin(self, q):
+        """The wavenumber T > 0 that minimizes Re_a with the modal
+        eigenvector q of shape (2, n) held fixed.  Its Rayleigh quotient
+        is a k / (s2 + 2 a^2 s1 + a^4 s0), k constant, with
+        s_k = q^H blockdiag(Q_k, Q_k) q, so T^2 is the positive root
+        (sqrt(s1^2 + 3 s0 s2) - s1) / (3 s0) = s2 / (s1 + sqrt(...)).
+        For the eigenvector solved at a, T = a exactly where dm/da = 0,
+        and Re_a(T) <= Re_a(a), since m(T) is at least the quotient."""
+        s0, s1, s2 = (np.vdot(q, q @ Q).real
+                      for Q in (self.Q0, self.Q1, self.Q2))
+        return float(np.sqrt(s2 / (s1 + np.sqrt(s1 * s1 + 3.0 * s0 * s2))))
 
 
 def _parity_form(A, B, weights, same):
@@ -260,7 +274,7 @@ def solve_max_m(pencil):
     w_hat = pencil.maps.inject @ qb[0]
     l_hat = pencil.maps.inject @ qb[1] / pencil.params.Ha
     return EvpSolution(m=m, dm_da=float(dm_da), Re_a=1.0 / m, w_hat=w_hat,
-                       l_hat=l_hat, residual=residual)
+                       l_hat=l_hat, q=qb, residual=residual)
 
 
 def reynolds_curve(params, a_grid, N=60):

@@ -247,6 +247,7 @@ def test_bad_config_files_are_usage_errors(tmp_path):
             ("profile", '{"N": true}', "N must be an integer, got True"),
             ("profile", '{"Ha_list": "abc"}', "Ha_list must hold numbers"),
             ("profile", '{"Ha_list": [[1.0, 2.0]]}', "Ha_list must be a"),
+            ("neutral", '{"Ha_list": [true]}', "Ha_list must hold numbers"),
             # values that float() would crash on or read as 1.0
             ("profile", '{"Pm": "abc"}', "Pm"),
             ("neutral", '{"a_min": null}', "a_min"),

@@ -8,7 +8,7 @@ import scipy.linalg as sla
 
 import mhdes
 from mhdes.errors import ConsistencyError, NumericalError, ParameterError
-from mhdes.orr_evp import EvpPencil, _assemble
+from mhdes.orr_evp import EvpPencil, _assemble, pencil_forms
 
 # growth-ratio anchors frozen from an independent dense-assembly prototype
 # (N = 60, Pm = 0.1, a = 1.2)
@@ -116,6 +116,26 @@ def test_slope_matches_central_difference(wb, flow, Ha, Pm):
         assert abs(sol.dm_da - fd) <= 1e-6 * abs(fd)
 
 
+@pytest.mark.parametrize("flow", ["couette", "hartmann"])
+def test_frozen_eigenvector_step_descends_along_the_slope(wb, flow):
+    # T(a) minimizes Re_a with the eigenvector solved at a held fixed, and
+    # m(T) is at least that eigenvector's Rayleigh quotient there, so the
+    # step never raises Re_a and moves the way the slope points, far from
+    # the minimum and beside it, with no single-minimum assumption
+    for Ha, Pm in ((1e-3, 0.1), (1.0, 0.01), (10.0, 1.0), (50.0, 10.0)):
+        params = wb.params(flow, Ha, Pm)
+        forms = pencil_forms(params, wb.op(60), wb.sample(flow, Ha, 60),
+                             wb.maps(60))
+        a_crit = mhdes.minimize_over_a(params, 0.2, 30.0, N=60).a_crit
+        for a in (0.3, 25.0, a_crit * (1 - 1e-3), a_crit, a_crit * (1 + 1e-3)):
+            sol = wb.solution(flow, Ha, a, Pm=Pm)
+            t = forms.frozen_argmin(sol.q)
+            stepped = mhdes.solve_max_m(forms.at(t))
+            assert stepped.Re_a <= sol.Re_a * (1.0 + 1e-12)
+            if abs(sol.dm_da) > 1e-8 * sol.m / a:
+                assert np.sign(t - a) == np.sign(sol.dm_da)
+
+
 @pytest.mark.parametrize("flow,Ha", sorted(M_ANCHORS))
 def test_growth_ratio_anchor_values(wb, flow, Ha):
     sol = wb.solution(flow, Ha, 1.2)
@@ -207,7 +227,7 @@ def test_threshold_curve_validation(wb):
         mhdes.reynolds_curve(params, [], N=50)
     with pytest.raises(ParameterError):
         mhdes.reynolds_curve(params, [0.5, -1.0], N=50)
-    for bad in ([[0.5, 1.0], [1.5, 2.0]], ["x"], "abc"):
+    for bad in ([[0.5, 1.0], [1.5, 2.0]], ["x"], "abc", [True]):
         with pytest.raises(ParameterError, match="a_grid"):
             mhdes.reynolds_curve(params, bad, N=50)
 
