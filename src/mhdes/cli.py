@@ -26,6 +26,7 @@ import argparse
 import dataclasses
 import json
 import logging
+import math
 import sys
 from dataclasses import dataclass
 
@@ -35,7 +36,7 @@ from .baseflow import FLOWS, Params, profile_for
 from .critical import neutral_sweep
 from .errors import (ConsistencyError, MhdesError, NumericalError,
                      ParameterError, VerificationError, integer_in, numbers,
-                     positive_scalar)
+                     positive_scalar, real_scalar)
 from .orr_evp import assemble_pencil, reynolds_curve, solve_max_m
 from .spectral import N_MAX, N_MIN, build_operator, clamped_restrict
 from .verify import (_decay_terms, _random_clamped_fields, decay_check,
@@ -232,7 +233,8 @@ def _verify_point(config, Ha, perturb_m_rel, op, maps):
     # claim is falsified by the maximizer itself
     try:
         rep = random_trial_bound(params, a, m_claimed, trials=VERIFY_TRIALS,
-                                 seed=config.seed, N=config.N, inject=(field,))
+                                 seed=config.seed, N=config.N, inject=(field,),
+                                 op=op, sample=sample)
         checks["random_trial_bound"] = {"passed": True, **rep}
     except VerificationError as exc:
         checks["random_trial_bound"] = {"passed": False, "report": exc.report}
@@ -266,8 +268,13 @@ def cmd_verify(config, perturb_m_rel=0.0):
 
     Always emits a JSON report regardless of the format flag.  The
     perturbation hook offsets the claimed ratio before checking and exists
-    so the failure path itself can be exercised end to end.
+    so the failure path itself can be exercised end to end.  It must be a
+    finite number above -1, so that the claim stays positive.
     """
+    perturb_m_rel = real_scalar(perturb_m_rel, "--perturb-m-rel")
+    if not (math.isfinite(perturb_m_rel) and perturb_m_rel > -1.0):
+        raise ParameterError(f"--perturb-m-rel must be finite and > -1, got "
+                             f"{perturb_m_rel}")
     # every spectral-side check first, then every FD oracle: NumPy and
     # SciPy each bundle an OpenBLAS with its own worker pool, and handing
     # the cores from one pool to the other at every point stalls both

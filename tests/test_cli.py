@@ -204,6 +204,16 @@ def test_verify_perturbed_claim_fails(tmp_path):
     assert "field_coefficients" in falsification
 
 
+@pytest.mark.parametrize("perturb", ["-1", "nan", "inf", "-2"])
+def test_verify_refuses_a_nonpositive_claim(perturb, capsys):
+    # the claim m (1 + perturb) must stay a positive number: refused before
+    # any solve, naming the flag
+    assert cli.main(["verify", "--ha", "1", f"--perturb-m-rel={perturb}",
+                     "--out", os.devnull]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("mhdes: error: ") and "--perturb-m-rel" in err
+
+
 def test_verify_reports_are_deterministic():
     one = run_cli("verify", "--ha", "1", "--n", "50").stdout
     two = run_cli("verify", "--ha", "1", "--n", "50").stdout

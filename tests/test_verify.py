@@ -176,7 +176,8 @@ def test_magnetic_sector_field_stays_below_small_hartmann_claim(wb):
 @pytest.mark.parametrize("flow, Ha", [("couette", 1.0), ("hartmann", 10.0)])
 def test_batched_trials_match_per_field_loop(wb, flow, Ha):
     # the batch draws the per-field stream bit for bit, evaluates the same
-    # fields, and its ratios are those of energy_ratio field by field
+    # fields to rounding (it sums the series by one matrix product, not by
+    # Clenshaw), and its ratios are those of energy_ratio field by field
     params, op = wb.params(flow, Ha), wb.op(60)
     sample = wb.sample(flow, Ha, 60)
     cw, cl, fields = _random_clamped_fields(np.random.default_rng(7), 50,
@@ -194,8 +195,8 @@ def test_batched_trials_match_per_field_loop(wb, flow, Ha):
         assert np.array_equal(cw[t], w_coef) and np.array_equal(cl[t], l_coef)
         wf = env * ncheb.chebval(op.nodes, w_coef)
         lf = env * ncheb.chebval(op.nodes, l_coef)
-        assert np.array_equal(fields.w_hat[t], wf)
-        assert np.array_equal(fields.l_hat[t], lf)
+        for got, ref in ((fields.w_hat[t], wf), (fields.l_hat[t], lf)):
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
         one = mhdes.energy_ratio(mhdes.make_trial_field(1.2, wf, lf, op),
                                  params, sample, op)
         assert abs(ratios[t] - one.ratio) <= 1e-14 * scale
@@ -225,6 +226,35 @@ def test_falsification_names_first_random_offender(wb):
     ratio = mhdes.energy_ratio(fld, params, sample, op).ratio
     assert abs(ratio - report["ratio"]) <= 1e-14 * abs(ratio)
     json.dumps(report)
+
+
+def test_trial_bound_reuses_given_setup(wb, monkeypatch):
+    # a caller's operator and sample are used as they are, and give the
+    # report that the function builds on its own
+    params, op = wb.params("hartmann", 10.0), wb.op(60)
+    sample = wb.sample("hartmann", 10.0, 60)
+    fld = wb.eig_field("hartmann", 10.0, 1.2)
+    m = wb.solution("hartmann", 10.0, 1.2).m
+    own = mhdes.random_trial_bound(params, 1.2, m, trials=200, seed=5,
+                                   inject=(fld,))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the given setup must not be rebuilt")
+
+    monkeypatch.setattr(verify, "build_operator", forbidden)
+    monkeypatch.setattr(verify, "profile_for", forbidden)
+    given = mhdes.random_trial_bound(params, 1.2, m, trials=200, seed=5,
+                                     inject=(fld,), op=op, sample=sample)
+    assert given == own
+    with pytest.raises(ConsistencyError):
+        mhdes.random_trial_bound(params, 1.2, m, trials=10, seed=5, N=40,
+                                 op=op, sample=sample)
+    with pytest.raises(ConsistencyError):
+        mhdes.random_trial_bound(wb.params("couette", 10.0), 1.2, m,
+                                 trials=10, seed=5, op=op, sample=sample)
+    with pytest.raises(ParameterError, match="SpectralOperator"):
+        mhdes.random_trial_bound(params, 1.2, m, trials=10, seed=5,
+                                 op=op.nodes)
 
 
 def test_trial_bound_validation(wb):
