@@ -214,7 +214,7 @@ def cmd_neutral(config):
 
 
 def _verify_point(config, Ha, perturb_m_rel, op, maps):
-    """Spectral-side checks at one Ha: params, a, m and the checks dict."""
+    """Every check at one Ha, the FD oracle last: the point's report."""
     params = Params(flow=config.flow, Ha=Ha, Pm=config.Pm)
     sample = profile_for(params, op.nodes)
     a = 1.2 if config.a_min <= 1.2 <= config.a_max else float(
@@ -253,14 +253,14 @@ def _verify_point(config, Ha, perturb_m_rel, op, maps):
     pc = poincare_check(field, op)
     checks["poincare"] = {"passed": bool(pc.satisfied),
                           "ratios": {k: v["ratio"] for k, v in pc.ratios.items()}}
-    return params, a, sol.m, checks
 
-
-def _fd_check(params, a, m):
     m_fd = fd_oracle(params, a, M=VERIFY_FD_M)
-    rel = abs(m_fd - m) / m
-    return {"passed": bool(rel <= VERIFY_FD_RTOL), "m_fd": m_fd,
-            "m_spectral": m, "rel_dev": rel}
+    rel = abs(m_fd - sol.m) / sol.m
+    checks["fd_oracle"] = {"passed": bool(rel <= VERIFY_FD_RTOL),
+                           "m_fd": m_fd, "m_spectral": sol.m, "rel_dev": rel}
+    return {"Ha": float(Ha), "a": float(a), "m": sol.m,
+            "passed": all(c["passed"] for c in checks.values()),
+            "checks": checks}
 
 
 def cmd_verify(config, perturb_m_rel=0.0):
@@ -275,19 +275,10 @@ def cmd_verify(config, perturb_m_rel=0.0):
     if not (math.isfinite(perturb_m_rel) and perturb_m_rel > -1.0):
         raise ParameterError(f"--perturb-m-rel must be finite and > -1, got "
                              f"{perturb_m_rel}")
-    # every spectral-side check first, then every FD oracle: NumPy and
-    # SciPy each bundle an OpenBLAS with its own worker pool, and handing
-    # the cores from one pool to the other at every point stalls both
     op = build_operator(config.N)
     maps = clamped_restrict(op)
-    spectral = [_verify_point(config, Ha, perturb_m_rel, op, maps)
-                for Ha in config.Ha_list]
-    points = []
-    for Ha, (params, a, m, checks) in zip(config.Ha_list, spectral):
-        checks["fd_oracle"] = _fd_check(params, a, m)
-        points.append({"Ha": float(Ha), "a": float(a), "m": m,
-                       "passed": all(c["passed"] for c in checks.values()),
-                       "checks": checks})
+    points = [_verify_point(config, Ha, perturb_m_rel, op, maps)
+              for Ha in config.Ha_list]
     passed = all(p["passed"] for p in points)
     report = {"flow": config.flow, "Pm": config.Pm, "N": config.N,
               "seed": config.seed, "perturb_m_rel": perturb_m_rel,

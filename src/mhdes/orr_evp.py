@@ -29,10 +29,8 @@ K and S are real and split over the parity halves P1 = {w even, l~ odd}
 and P2 = {w odd, l~ even} (Orszag 1971): K couples P1 with P2 for couette
 and each half with itself for hartmann, so only nonvanishing parity
 blocks are assembled, and the top eigenpair comes from n x n halves in
-real arithmetic.  The solve uses NumPy alone; mixing in SciPy's LAPACK
-would alternate between two bundled OpenBLAS thread pools on every
-wavenumber, and the workers of one pool keep spinning for a while after
-its last call, holding the cores the other pool needs.
+real arithmetic.  The solve, like the whole package, uses NumPy alone,
+so every wavenumber runs on one bundled OpenBLAS and its one worker pool.
 """
 
 import functools

@@ -5,12 +5,13 @@ the pencil assembly: energy functionals are evaluated by raw collocation
 derivatives and quadrature on full nodal fields, and fd_oracle rebuilds
 the whole eigenproblem on a uniform grid with second-order central finite
 differences and finds its top eigenvalue by one Lanczos run per grid.
-Agreement between these routes and the spectral solver is what the
+Like the rest of the package it uses NumPy alone: one block-tridiagonal
+Cholesky kernel serves both the mass solves and the certificate of each
+value.  Agreement between these routes and the spectral solver is what the
 acceptance tests certify, so the two implementations must never be
 collapsed into one.
 """
 
-import gc
 import logging
 import math
 from dataclasses import dataclass
@@ -32,6 +33,9 @@ POINCARE_SLACK = 1e-8
 POINCARE_BOUND = math.pi * math.pi / 4.0
 FD_KD = 4
 FD_SHIFT = 1.05
+FD_BLOCK = 32
+FD_LANCZOS_STEPS = 100
+FD_LANCZOS_TOL = 1e-10
 _FD_SEED = 12345
 
 
@@ -328,11 +332,11 @@ def poincare_check(field, op):
 # ---------------------------------------------------------------------------
 # Finite-difference oracle
 # ---------------------------------------------------------------------------
-# SciPy is imported inside the FD helpers, its only users, so importing
-# mhdes or running the spectral solver never loads it.
 
 def _fd_matrices(params, a, M):
-    """Uniform-grid FD pencil (-L/2, M) with clamped walls via ghost points.
+    """Uniform-grid FD pencil (-L/2, Mm) with clamped walls via ghost points,
+    in LAPACK upper band storage: row kd - k holds the k-th superdiagonal,
+    right-aligned.
 
     The advective block is assembled in the symmetrized form
     i a (U' D + D U'), which is the same operator after integration by
@@ -343,93 +347,206 @@ def _fd_matrices(params, a, M):
     The unknowns are interleaved node by node, (w_1, Ha l_1, w_2, ...), so
     both matrices are Hermitian banded with FD_KD superdiagonals: the
     five-point energy stencil reaches two nodes, four rows, away.
-    """
-    import scipy.sparse as sp
 
+    Returns Lb, the (FD_KD + 1, 2M) bands of -L/2, and Sb, the (3, M)
+    bands of the real energy form S = D4 - 2 a^2 D2 + a^4, of which
+    Mm = S (x) I_2 in the interleaved unknowns.  Each stencil is scaled by
+    the reciprocal of 2h, h^2 or h^4 and each entry is rounded as in a
+    sparse Kronecker-product build of the same pencil, which the tests
+    keep as the reference: at M >= 1200 a last-bit change in S or L moves
+    m by about 1e-6.
+    """
     h = 2.0 / (M + 1)
     z = -1.0 + h * np.arange(1, M + 1)
     smp = profile_for(params, z)
-    e = np.ones(M)
-    D1 = sp.diags([-e[:-1], e[:-1]], [-1, 1]) / (2.0 * h)
-    D2 = sp.diags([e[:-1], -2.0 * e, e[:-1]], [-1, 0, 1]) / h**2
-    main4 = 6.0 * e.copy()
-    main4[0] += 1.0    # ghost-node fold-in for the clamped first derivative
-    main4[-1] += 1.0
-    D4 = sp.diags([e[:-2], -4.0 * e[:-1], main4, -4.0 * e[:-1], e[:-2]],
-                  [-2, -1, 0, 1, 2]) / h**4
-    S = D4 - 2.0 * a * a * D2 + a**4 * sp.eye(M)
-    dU = sp.diags(smp.Uprime)
-    T = 1j * a * (dU @ D1 + D1 @ dU)
-    C = 1j * a * params.Ha * params.Pm * sp.diags(smp.Bsecond)
-    # node-major Kronecker products interleave the 2 x 2 field blocks
-    # [[T, -C], [C, -Pm T]] and [[S, 0], [0, S]]
-    L = (sp.kron(T, np.diag([1.0, -params.Pm]))
-         + sp.kron(C, np.array([[0.0, -1.0], [1.0, 0.0]])))
-    return (-0.5 * L).tocsr(), sp.kron(S, np.eye(2)).tocsr()
+    r1, r2, r4 = 1.0 / (2.0 * h), 1.0 / h**2, 1.0 / h**4
+    c = 2.0 * a * a
+    main4 = np.full(M, 6.0)
+    main4[[0, -1]] = 7.0    # ghost-node fold-in for the clamped derivative
+    Sb = np.empty((3, M))
+    Sb[0] = r4
+    Sb[1] = -4.0 * r4 - c * r2
+    Sb[2] = (main4 * r4 - c * (-2.0 * r2)) + a**4
+    # the superdiagonal of i a (U' D1 + D1 U') and the diagonal of
+    # C = i a Ha Pm B''; the 2 x 2 node blocks of L are [[T, -C], [C, -Pm T]]
+    t = (smp.Uprime[:-1] * r1 + r1 * smp.Uprime[1:]) * a
+    cb = smp.Bsecond * (a * params.Ha * params.Pm)
+    Lb = np.zeros((FD_KD + 1, 2 * M), dtype=complex)
+    Lb.imag[FD_KD - 1, 1::2] = -0.5 * -cb
+    Lb.imag[FD_KD - 2, 2::2] = -0.5 * t
+    Lb.imag[FD_KD - 2, 3::2] = -0.5 * (t * -params.Pm)
+    return Lb, Sb
 
 
-def _fd_bands(A):
-    """LAPACK upper band storage of an interleaved FD pencil matrix: row
-    FD_KD - k holds the k-th superdiagonal, right-aligned."""
-    ab = np.zeros((FD_KD + 1, A.shape[0]), dtype=A.dtype)
-    for k in range(FD_KD + 1):
-        ab[FD_KD - k, k:] = A.diagonal(k)
-    return ab
+def _band_matvec(ab, x):
+    """Product of the Hermitian matrix with upper bands ab and x, which
+    holds one vector per column when it is two-dimensional."""
+    kd = ab.shape[0] - 1
+    ab = ab.reshape(ab.shape + (1,) * (x.ndim - 1))
+    y = ab[kd] * x
+    for k in range(1, kd + 1):
+        d = ab[kd - k, k:]
+        y[:-k] += d * x[k:]
+        y[k:] += d.conj() * x[:-k]
+    return y
 
 
-def _fd_factor(Lb, Mb, sigma):
-    """Banded Cholesky factor of sigma Mm - Lh, or None if it has none.
+def _band_blocks(ab, s):
+    """Block-tridiagonal form of the Hermitian matrix with upper bands ab,
+    in blocks of s rows.
+
+    Returns the diagonal blocks, the last one padded with identity past
+    the matrix, and for each block the kd x kd corner that couples its
+    last kd rows to the first kd rows of the next block, where kd <= s is
+    the bandwidth; the rest of every off-diagonal block is zero.
+    """
+    kd, n = ab.shape[0] - 1, ab.shape[1]
+    nb = -(-n // s)
+    diag = np.zeros((nb, s, s), dtype=ab.dtype)
+    corner = np.zeros((nb - 1, kd, kd), dtype=ab.dtype)
+    pad = np.arange(n - (nb - 1) * s, s)
+    diag[-1, pad, pad] = 1.0
+    for k in range(kd + 1):
+        b, r = np.divmod(np.arange(n - k), s)
+        c = r + k
+        v = ab[kd - k, k:]
+        inside = c < s
+        diag[b[inside], r[inside], c[inside]] = v[inside]
+        diag[b[inside], c[inside], r[inside]] = v[inside].conj()
+        out = ~inside
+        corner[b[out], r[out] - (s - kd), c[out] - s] = v[out]
+    return diag, corner
+
+
+def _block_cholesky(diag, corner):
+    """Cholesky factor L L^H of a Hermitian block-tridiagonal matrix in the
+    form of _band_blocks, or None if it has none.
+
+    Returns the diagonal blocks of L and, for each block but the last, the
+    corner of the block of L below it: that block is U^H L_k^-H, where U
+    is the matrix's block right of block k, so it is zero but for its
+    top-right kd x kd corner, and it changes only the top-left corner of
+    the next pivot block.  A pivot block without a
+    Cholesky factor means that the matrix is not positive definite.
+    """
+    kd = corner.shape[-1]
+    low = np.empty_like(diag)
+    below = np.empty_like(corner)
+    pivot = diag[0]
+    for k in range(len(diag)):
+        try:
+            low[k] = np.linalg.cholesky(pivot)
+        except np.linalg.LinAlgError:
+            return None
+        if k < len(corner):
+            below[k] = np.linalg.solve(low[k, -kd:, -kd:],
+                                       corner[k]).conj().T
+            pivot = diag[k + 1].copy()
+            pivot[:kd, :kd] -= below[k] @ below[k].conj().T
+    return low, below
+
+
+def _block_solver(low, below):
+    """The solve x = (L L^H)^-1 b for a factor of _block_cholesky, where b
+    holds one right-hand side per column.
+
+    Each substitution is one batched product with the inverses of the
+    diagonal blocks of L, a recurrence that carries the kd rows at the
+    edge of each block to the next, and one batched correction of the
+    rest of the block by the rows carried into it.
+    """
+    nb, s = low.shape[:2]
+    kd = below.shape[-1]
+    linv = np.linalg.inv(low)
+    linvh = linv.conj().transpose(0, 2, 1)
+    fwd = linv[1:, :, :kd] @ below
+    bwd = linvh[:-1, :, -kd:] @ below.conj().transpose(0, 2, 1)
+
+    def solve(b):
+        y = np.zeros((nb * s, b.shape[1]), dtype=np.result_type(low, b))
+        y[:len(b)] = b
+        y = linv @ y.reshape(nb, s, -1)
+        for k in range(1, nb):
+            y[k, -kd:] -= fwd[k - 1, -kd:] @ y[k - 1, -kd:]
+        y[1:, :-kd] -= fwd[:, :-kd] @ y[:-1, -kd:]
+        y = linvh @ y
+        for k in range(nb - 2, -1, -1):
+            y[k, :kd] -= bwd[k, :kd] @ y[k + 1, :kd]
+        y[:-1, kd:] -= bwd[:, kd:] @ y[1:, :kd]
+        return y.reshape(nb * s, -1)[:len(b)]
+
+    return solve
+
+
+def _fd_factor(Lb, Sb, sigma):
+    """Block Cholesky factor of sigma Mm - Lh, or None if it has none.
 
     Mm is positive definite, so by Sylvester's law of inertia the factor
     exists exactly when sigma lies above every eigenvalue of the pencil.
     """
-    from scipy.linalg import LinAlgError, cholesky_banded
-
-    try:
-        return cholesky_banded(sigma * Mb - Lb, check_finite=False)
-    except LinAlgError:
-        return None
+    Mb = np.zeros(Lb.shape)
+    for k in range(3):
+        Mb[FD_KD - 2 * k, 2 * k:] = np.repeat(Sb[2 - k, k:], 2)
+    return _block_cholesky(*_band_blocks(sigma * Mb - Lb, FD_BLOCK))
 
 
 def _fd_max_m(params, a, M):
     """Largest eigenvalue of the FD pencil at one grid size.
 
-    One Lanczos run in ARPACK's regular mode for the largest algebraic
-    eigenvalue of (Lh, Mm), from a fixed start vector, with Mm^-1 applied
-    through its banded Cholesky factor.  The eigenvector is polished by
-    the exact Rayleigh quotient of the sparse matrices, since the Lanczos
-    value alone degrades as the mass matrix norm grows like h^-4.  The
-    value m is certified by one factorization: FD_SHIFT m Mm - Lh must
-    have a Cholesky factor (_fd_factor), so no eigenvalue lies above
-    FD_SHIFT m.  A missing factor, or a Lanczos run that does not
-    converge, raises NumericalError.
+    One Lanczos run in regular mode for the largest algebraic eigenvalue
+    of (Lh, Mm), from a fixed start vector, fully reorthogonalized in the
+    Mm inner product, with Mm^-1 applied through one block Cholesky
+    factor of S, shared by w and Ha l.  The run stops when the residual
+    bound of the top Ritz pair falls to FD_LANCZOS_TOL of its value; the
+    Ritz vector is polished by the exact Rayleigh quotient of the banded
+    matrices, since the Lanczos value alone degrades as the mass matrix
+    norm grows like h^-4.  The value m is certified by one factorization:
+    FD_SHIFT m Mm - Lh must have a Cholesky factor (_fd_factor), so no
+    eigenvalue lies above FD_SHIFT m.  A missing factor, or a run that
+    does not converge within FD_LANCZOS_STEPS steps, raises NumericalError.
     """
-    import scipy.sparse.linalg as spla
-    from scipy.linalg import cho_solve_banded, cholesky_banded
+    Lb, Sb = _fd_matrices(params, a, M)
+    mass_solve_real = _block_solver(*_block_cholesky(
+        *_band_blocks(Sb, FD_BLOCK)))
+    n = Lb.shape[1]
 
-    Lh, Mm = _fd_matrices(params, a, M)
-    Lb, Mb = _fd_bands(Lh), _fd_bands(Mm)
-    c = cholesky_banded(Mb, check_finite=False)
-    n = Lh.shape[0]
-    minv = spla.LinearOperator(
-        (n, n), dtype=complex,
-        matvec=lambda x: cho_solve_banded((c, False), x, check_finite=False))
+    def mass(x):
+        return _band_matvec(Sb, x.reshape(M, 2)).ravel()
+
+    def mass_solve(x):
+        real = mass_solve_real(x.reshape(M, 2).view(float))
+        return np.ascontiguousarray(real).view(complex).ravel()
+
     rng = np.random.default_rng(_FD_SEED)
-    v0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    try:
-        _, vecs = spla.eigsh(Lh, k=1, M=Mm, Minv=minv, which="LA", v0=v0,
-                             maxiter=5000)
-    except spla.ArpackNoConvergence as exc:
-        raise NumericalError(f"FD Lanczos at M={M} did not converge: "
-                             f"{exc}") from exc
-    # eigsh's ARPACK state holds a closure over itself; the cycle keeps the
-    # matrices, the factor and the Lanczos basis alive until the cyclic
-    # collector runs, and successive oracles would stack them in the peak
-    # resident size.  The young generations still hold it: free it now.
-    gc.collect(1)
-    q = vecs[:, 0]
-    m = float(np.vdot(q, Lh @ q).real) / float(np.vdot(q, Mm @ q).real)
-    if _fd_factor(Lb, Mb, FD_SHIFT * m) is None:
+    w = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    steps = FD_LANCZOS_STEPS
+    V = np.empty((steps, n), dtype=complex)
+    MV = np.empty((steps, n), dtype=complex)
+    T = np.zeros((steps, steps))
+    mw = mass(w)
+    norm = math.sqrt(np.vdot(w, mw).real)
+    for j in range(steps):
+        if j:
+            T[j - 1, j] = T[j, j - 1] = norm
+        V[j], MV[j] = w / norm, mw / norm
+        lv = _band_matvec(Lb, V[j])
+        T[j, j] = np.vdot(V[j], lv).real
+        w = mass_solve(lv)
+        # classical Gram-Schmidt twice against the whole basis
+        for _ in range(2):
+            w -= (MV[:j + 1] @ w.conj()).conj() @ V[:j + 1]
+        mw = mass(w)
+        norm = math.sqrt(np.vdot(w, mw).real)
+        theta, s = np.linalg.eigh(T[:j + 1, :j + 1])
+        if norm * abs(s[-1, -1]) <= FD_LANCZOS_TOL * abs(theta[-1]):
+            break
+    else:
+        raise NumericalError(f"FD Lanczos at M={M} did not converge in "
+                             f"{steps} steps")
+    q = s[:, -1] @ V[:j + 1]
+    m = (float(np.vdot(q, _band_matvec(Lb, q)).real)
+         / float(np.vdot(q, mass(q)).real))
+    if _fd_factor(Lb, Sb, FD_SHIFT * m) is None:
         raise NumericalError(
             f"FD value {m:.6e} at M={M} is not the top eigenvalue: "
             f"{FD_SHIFT} m Mm - Lh has no Cholesky factor")

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import mhdes
-from mhdes import cli, critical, orr_evp
+from mhdes import cli, critical, orr_evp, verify
 from mhdes.cli import (CURVE_HEADER, NEUTRAL_HEADER, PROFILE_HEADER,
                        RunConfig, _fmt)
 from mhdes.errors import NumericalError
@@ -159,8 +159,8 @@ def test_verify_default_configuration_passes(tmp_path):
                                          "fd_oracle"]
 
 
-def test_verify_runs_fd_oracles_after_spectral_checks(monkeypatch, capsys):
-    # the NumPy-side solves and the SciPy-side FD oracles never alternate
+def test_verify_runs_each_point_to_its_fd_oracle(monkeypatch, capsys):
+    # one pass per point: its solve, its spectral-side checks, its FD oracle
     calls = []
     for name in ("solve_max_m", "fd_oracle"):
         func = getattr(cli, name)
@@ -171,19 +171,13 @@ def test_verify_runs_fd_oracles_after_spectral_checks(monkeypatch, capsys):
 
         monkeypatch.setattr(cli, name, recorded)
     assert cli.main(["verify", "--ha", "0.5", "2", "--n", "30"]) == 0
-    assert calls == ["solve_max_m"] * 2 + ["fd_oracle"] * 2
+    assert calls == ["solve_max_m", "fd_oracle"] * 2
     report = json.loads(capsys.readouterr().out)
     assert [p["Ha"] for p in report["points"]] == [0.5, 2.0]
 
 
 def test_verify_fd_lanczos_failure_exits_3(monkeypatch, capsys):
-    import scipy.sparse.linalg as spla
-
-    def unconverged(*args, **kwargs):
-        raise spla.ArpackNoConvergence("injected", np.empty(0),
-                                       np.empty((0, 0)))
-
-    monkeypatch.setattr(spla, "eigsh", unconverged)
+    monkeypatch.setattr(verify, "FD_LANCZOS_STEPS", 1)
     assert cli.main(["verify", "--ha", "1"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("mhdes: numerical failure: ") and "converge" in err
@@ -373,7 +367,8 @@ def test_failed_hartmann_number_warns_once_with_prefix(monkeypatch, capsys):
 
 
 def test_solver_commands_never_import_scipy():
-    # SciPy serves only the verify layer's finite-difference oracle
+    # the runtime needs NumPy alone; SciPy serves only the tests' dense
+    # references
     code = "\n".join((
         "import sys",
         "from mhdes import Params, cli, minimize_over_a",
@@ -382,6 +377,11 @@ def test_solver_commands_never_import_scipy():
         "    assert cli.main([cmd, '--ha', '1', *grid, '--n', '20',",
         "                     '--out', sys.argv[1]]) == 0",
         "minimize_over_a(Params(flow='hartmann', Ha=1.0, Pm=0.1), N=20)",
+        "for flow in ('couette', 'hartmann'):",
+        "    assert cli.main(['verify', '--flow', flow, '--ha', '1', '--n',",
+        "                     '30', '--out', sys.argv[1]]) == 0",
+        "assert cli.main(['verify', '--ha', '1', '--n', '30',",
+        "                 '--perturb-m-rel=-1e-3', '--out', sys.argv[1]]) == 4",
         "loaded = sorted(m for m in sys.modules if m.startswith('scipy'))",
         "assert not loaded, loaded",
     ))

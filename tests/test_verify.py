@@ -8,7 +8,6 @@ import numpy.polynomial.chebyshev as ncheb
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 import mhdes
 from mhdes import verify
@@ -439,24 +438,20 @@ def test_fd_oracle_builds_exactly_the_grids_m_and_2m(wb, monkeypatch):
 def test_fd_value_without_a_certificate_factor_is_rejected(wb, monkeypatch):
     # a value with no Cholesky factor FD_SHIFT m above it may be an
     # interior eigenvalue, so it is never returned
-    monkeypatch.setattr(verify, "_fd_factor", lambda Lb, Mb, sigma: None)
+    monkeypatch.setattr(verify, "_fd_factor", lambda Lb, Sb, sigma: None)
     with pytest.raises(NumericalError, match="no Cholesky factor"):
         _fd_max_m(wb.params("couette", 1.0), 1.2, 300)
 
 
 def test_fd_lanczos_without_convergence_is_a_numerical_error(wb, monkeypatch):
-    def unconverged(*args, **kwargs):
-        raise spla.ArpackNoConvergence("injected", np.empty(0),
-                                       np.empty((0, 0)))
-
-    monkeypatch.setattr(spla, "eigsh", unconverged)
+    monkeypatch.setattr(verify, "FD_LANCZOS_STEPS", 1)
     with pytest.raises(NumericalError, match="did not converge"):
         _fd_max_m(wb.params("couette", 1.0), 1.2, 300)
 
 
 def test_fd_solve_frees_its_solver_state_at_once(wb):
-    # eigsh's ARPACK state is a reference cycle; left to the cyclic
-    # collector, each solve's matrices and Lanczos basis would linger
+    # no reference cycle may keep a solve's matrices, factors and Lanczos
+    # basis alive until the cyclic collector runs
     params = wb.params("couette", 1.0)
     _fd_max_m(params, 1.2, 600)
     gc.collect()
@@ -465,20 +460,71 @@ def test_fd_solve_frees_its_solver_state_at_once(wb):
 
 
 FD_BAND_CASES = [("couette", 1.0), ("hartmann", 10.0)]
+# both grids leave the last block of the block Cholesky kernel part-filled,
+# padded with identity, in S and in the interleaved pencil
+FD_BAND_GRIDS = (200, 201)
+
+
+def _sparse_fd_matrices(params, a, M):
+    """Reference FD pencil (-L/2, Mm) as interleaved sparse matrices, built
+    by Kronecker products of the field blocks; _fd_matrices must reproduce
+    every entry of it bit for bit."""
+    h = 2.0 / (M + 1)
+    z = -1.0 + h * np.arange(1, M + 1)
+    smp = mhdes.profile_for(params, z)
+    e = np.ones(M)
+    D1 = sp.diags([-e[:-1], e[:-1]], [-1, 1]) / (2.0 * h)
+    D2 = sp.diags([e[:-1], -2.0 * e, e[:-1]], [-1, 0, 1]) / h**2
+    main4 = 6.0 * e.copy()
+    main4[0] += 1.0
+    main4[-1] += 1.0
+    D4 = sp.diags([e[:-2], -4.0 * e[:-1], main4, -4.0 * e[:-1], e[:-2]],
+                  [-2, -1, 0, 1, 2]) / h**4
+    S = D4 - 2.0 * a * a * D2 + a**4 * sp.eye(M)
+    dU = sp.diags(smp.Uprime)
+    T = 1j * a * (dU @ D1 + D1 @ dU)
+    C = 1j * a * params.Ha * params.Pm * sp.diags(smp.Bsecond)
+    L = (sp.kron(T, np.diag([1.0, -params.Pm]))
+         + sp.kron(C, np.array([[0.0, -1.0], [1.0, 0.0]])))
+    return (-0.5 * L).tocsr(), sp.kron(S, np.eye(2)).tocsr()
+
+
+def _hermitian_from_bands(ab):
+    kd, n = ab.shape[0] - 1, ab.shape[1]
+    A = np.zeros((n, n), dtype=ab.dtype)
+    for k in range(kd + 1):
+        i = np.arange(n - k)
+        A[i, i + k] = ab[kd - k, k:]
+        A[i + k, i] = ab[kd - k, k:].conj()
+    return A
 
 
 @pytest.mark.parametrize("flow,Ha", FD_BAND_CASES)
 def test_fd_band_storage_rebuilds_interleaved_pencil(wb, flow, Ha):
-    for A in verify._fd_matrices(wb.params(flow, Ha), 1.2, 200):
-        ab = verify._fd_bands(A)
-        upper = sum(sp.diags(ab[verify.FD_KD - k, k:], k)
-                    for k in range(verify.FD_KD + 1))
-        rebuilt = upper + sp.triu(upper, 1).conj().T
-        assert np.array_equal(rebuilt.toarray(), A.toarray())
+    params = wb.params(flow, Ha)
+    for M in FD_BAND_GRIDS:
+        Lh, Mm = _sparse_fd_matrices(params, 1.2, M)
+        Lb, Sb = verify._fd_matrices(params, 1.2, M)
+        assert Lb.shape == (verify.FD_KD + 1, 2 * M)
+        assert np.array_equal(_hermitian_from_bands(Lb), Lh.toarray())
+        assert np.array_equal(np.kron(_hermitian_from_bands(Sb), np.eye(2)),
+                              Mm.toarray())
+
+
+@pytest.mark.parametrize("M", FD_BAND_GRIDS + (224,))
+def test_block_cholesky_solves_the_energy_form(wb, M):
+    # 224 nodes fill every block of S exactly
+    _, Sb = verify._fd_matrices(wb.params("hartmann", 10.0), 1.2, M)
+    S = _hermitian_from_bands(Sb)
+    b = np.random.default_rng(3).standard_normal((M, 4))
+    x = verify._block_solver(*verify._block_cholesky(
+        *verify._band_blocks(Sb, verify.FD_BLOCK)))(b)
+    ref = sla.solve(S, b, assume_a="pos")
+    assert np.max(np.abs(x - ref)) <= 1e-9 * np.max(np.abs(ref))
 
 
 def _dense_fd_top(params, a, M):
-    Lh, Mm = verify._fd_matrices(params, a, M)
+    Lh, Mm = _sparse_fd_matrices(params, a, M)
     n = Lh.shape[0]
     return sla.eigh(Lh.toarray(), Mm.toarray(), eigvals_only=True,
                     subset_by_index=[n - 1, n - 1])[0]
@@ -487,15 +533,15 @@ def _dense_fd_top(params, a, M):
 @pytest.mark.parametrize("flow,Ha", FD_BAND_CASES)
 def test_fd_banded_top_eigenvalue_matches_dense_solve(wb, flow, Ha):
     params = wb.params(flow, Ha)
-    m_dense = _dense_fd_top(params, 1.2, 200)
-    assert abs(_fd_max_m(params, 1.2, 200) - m_dense) <= 1e-9 * m_dense
+    for M in FD_BAND_GRIDS:
+        m_dense = _dense_fd_top(params, 1.2, M)
+        assert abs(_fd_max_m(params, 1.2, M) - m_dense) <= 1e-9 * m_dense
 
 
 @pytest.mark.parametrize("flow,Ha", FD_BAND_CASES)
 def test_fd_cholesky_certifies_shift_above_top_eigenvalue(wb, flow, Ha):
     params = wb.params(flow, Ha)
     m = _dense_fd_top(params, 1.2, 200)
-    Lb, Mb = (verify._fd_bands(A)
-              for A in verify._fd_matrices(params, 1.2, 200))
-    assert verify._fd_factor(Lb, Mb, 1.001 * m) is not None
-    assert verify._fd_factor(Lb, Mb, 0.999 * m) is None
+    Lb, Sb = verify._fd_matrices(params, 1.2, 200)
+    assert verify._fd_factor(Lb, Sb, 1.001 * m) is not None
+    assert verify._fd_factor(Lb, Sb, 0.999 * m) is None
