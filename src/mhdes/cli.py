@@ -36,7 +36,7 @@ from .baseflow import FLOWS, Params, profile_for
 from .critical import neutral_sweep
 from .errors import (ConsistencyError, MhdesError, NumericalError,
                      ParameterError, VerificationError, integer_in, numbers,
-                     positive_scalar, real_scalar)
+                     real_scalar, wavenumber)
 from .orr_evp import assemble_pencil, reynolds_curve, solve_max_m
 from .spectral import N_MAX, N_MIN, build_operator, clamped_restrict
 from .verify import (_decay_terms, _random_clamped_fields, decay_check,
@@ -87,7 +87,7 @@ class RunConfig:
         object.__setattr__(self, "Pm", points[0].Pm)
         for name in ("a_min", "a_max"):
             object.__setattr__(self, name,
-                               positive_scalar(getattr(self, name), name))
+                               wavenumber(getattr(self, name), name))
         if not self.a_min < self.a_max:
             raise ParameterError(
                 f"need a_min < a_max, got [{self.a_min}, {self.a_max}]")

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 
 from .baseflow import Params, profile_for
-from .errors import NumericalError, ParameterError, numbers, positive_scalar
+from .errors import NumericalError, ParameterError, numbers, wavenumber
 from .orr_evp import _setup, pencil_forms, solve_max_m
 
 log = logging.getLogger(__name__)
@@ -55,8 +55,8 @@ def minimize_over_a(params, a_min=0.2, a_max=4.0, N=60):
     Failed solves are counted in one warning per minimum; if the first solve
     fails, a NumericalError naming its error is raised.
     """
-    a_min = positive_scalar(a_min, "a_min")
-    a_max = positive_scalar(a_max, "a_max")
+    a_min = wavenumber(a_min, "a_min")
+    a_max = wavenumber(a_max, "a_max")
     if not a_min < a_max:
         raise ParameterError(f"need a_min < a_max, got [{a_min}, {a_max}]")
     op, maps = _setup(N)

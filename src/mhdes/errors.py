@@ -4,7 +4,7 @@ that raise its ParameterError.
 The command line maps these onto process exit codes: parameter and usage
 problems exit 2, numerical solver failures exit 3, and failed verification
 checks exit 4.  Every layer checks a caller's numbers and counts with the
-four checks below, so the library and the command line refuse alike.
+checks below, so the library and the command line refuse alike.
 """
 
 import math
@@ -55,6 +55,15 @@ def positive_scalar(value, name):
     value = real_scalar(value, name)
     if not (math.isfinite(value) and value > 0):
         raise ParameterError(f"{name} must be finite and > 0, got {value}")
+    return value
+
+
+def wavenumber(value, name):
+    """value as a float if it is finite, > 0 and with a finite a^4."""
+    value = positive_scalar(value, name)
+    if not math.isfinite(value * value * value * value):
+        raise ParameterError(f"{name} must have a finite fourth power: "
+                             f"{value}")
     return value
 
 

@@ -14,8 +14,8 @@ The magnetic unknown is the rescaled field l~ = Ha l.  In it the energy
 of both fields is the same form S at every Ha, the magnetic block of K is
 -Pm times the velocity block, and the coupling carries the factor Ha Pm,
 so the pencil stays well scaled and continuous as Ha -> 0, where the
-magnetic sector keeps its own production; l = l~/Ha is restored when a
-solution is injected back onto the full grid.
+magnetic sector keeps its own production.  Solutions carry l~ as well, as
+do the independent functionals and the FD oracle of the verify module.
 
 The velocity block of K is the antisymmetric part of the weak advective
 form a K_U exactly; the coupling blocks agree with the weak
@@ -41,7 +41,7 @@ import numpy as np
 
 from .baseflow import Params, check_sample, profile_for
 from .errors import (ConsistencyError, NumericalError, ParameterError,
-                     integer_in, numbers, positive_scalar)
+                     integer_in, numbers, wavenumber)
 from .spectral import N_MAX, N_MIN, ClampedMaps, build_operator, clamped_restrict
 
 log = logging.getLogger(__name__)
@@ -59,30 +59,27 @@ class EvpPencil:
     for q = (w, l~) with the rescaled magnetic field l~ = Ha l.
 
     K is real antisymmetric; S is the real symmetric positive definite
-    energy form of one field, shared by both, and dS is its derivative
-    with respect to a.  maps is kept so solutions can be injected back
-    onto the full grid.
+    energy form of one field, shared by both.  maps is kept so solutions
+    can be injected back onto the full grid.
     """
 
     a: float
     K: np.ndarray
     S: np.ndarray
-    dS: np.ndarray
     params: Params
     maps: ClampedMaps
 
 
 @dataclass(frozen=True, eq=False)
 class EvpSolution:
-    """Largest eigenvalue m, its slope dm/da, the threshold Re_a = 1/m,
-    the full-grid eigenfields, the modal eigenvector q, and the pencil
+    """Largest eigenvalue m, the threshold Re_a = 1/m, the full-grid
+    eigenfields w and l~ = Ha l, the modal eigenvector q, and the pencil
     residual of the returned pair with q at unit 2-norm.  q and the
     residual are in modal coordinates: the coefficients of the clamped
     basis functions (1 - z^2)^2 T_j, not nodal values; q has shape (2, n),
     its rows w and l~."""
 
     m: float
-    dm_da: float
     Re_a: float
     w_hat: np.ndarray
     l_hat: np.ndarray
@@ -125,10 +122,8 @@ class PencilForms:
         V = 0.5 * (a * self.shear)
         C = a * self.params.Ha * Pm * self.coupling
         S = self.Q2 + 2.0 * a * a * self.Q1 + a**4 * self.Q0
-        dS = 4.0 * a * self.Q1 + 4.0 * a**3 * self.Q0
         return EvpPencil(a=a, K=np.block([[V, -0.5 * C], [0.5 * C, -Pm * V]]),
-                         S=0.5 * (S + S.T), dS=0.5 * (dS + dS.T),
-                         params=self.params, maps=self.maps)
+                         S=0.5 * (S + S.T), params=self.params, maps=self.maps)
 
     def frozen_argmin(self, q):
         """The wavenumber T > 0 that minimizes Re_a with the modal
@@ -179,12 +174,11 @@ def _assemble(params, a, op, sample, maps):
 
 def assemble_pencil(params, a, op, sample, maps):
     """Assemble the clamped pencil for wavenumber a > 0 (see pencil_forms)."""
-    return _assemble(params, positive_scalar(a, "wavenumber a"), op, sample,
-                     maps)
+    return _assemble(params, wavenumber(a, "wavenumber a"), op, sample, maps)
 
 
 def solve_max_m(pencil):
-    """Largest eigenvalue of the assembled pencil and its slope in a.
+    """Largest eigenvalue of the assembled pencil and its eigenvector.
 
     The pencil i K q = m blockdiag(S, S) q is self-adjoint: K is real
     antisymmetric and S is real symmetric positive definite.  The even
@@ -199,14 +193,11 @@ def solve_max_m(pencil):
     shifted inverse-iteration steps, and C^-T brings w + i B w / m back.
     Couette's B can still have a near-double top singular value at large
     Ha, closer than the shift (8.3e-9 relative at Ha = 50, N = 160): m
-    and dm/da are unaffected, but the eigenvector may then mix the two.
+    is unaffected, but the eigenvector may then mix the two.
 
-    K is linear in a, so the Hellmann-Feynman slope reduces to
-    dm/da = m/a - m q^H blockdiag(dS, dS) q / q^H blockdiag(S, S) q.
-
-    The eigenvector is scaled to unit 2-norm before it is injected back
-    onto the full grid, its magnetic half divided by Ha, and the residual
-    is |i K q - m blockdiag(S, S) q|.  A pencil whose K or S is complex,
+    The eigenvector is scaled to unit 2-norm before its rows w and l~ are
+    injected back onto the full grid, and the residual is
+    |i K q - m blockdiag(S, S) q|.  A pencil whose K or S is complex,
     whose K is not exactly antisymmetric or S not exactly symmetric, whose
     S has no Cholesky factor, or whose K or S is nonzero in a block that
     the flow's parity says vanishes raises NumericalError instead of
@@ -262,17 +253,13 @@ def solve_max_m(pencil):
     q[cols] = x[:, 0]
     q[rows] += 1j * x[:, 1] / m
     q /= np.linalg.norm(q)
-    # rows are the two fields; S and dS are symmetric, so qb @ S is S
-    # applied to each field
+    # rows are the two fields; S is symmetric, so qb @ S is S applied to
+    # each field
     qb = q.reshape(2, n)
-    Sq = qb @ S
-    residual = float(np.linalg.norm(1j * (K @ q) - m * Sq.ravel()))
-    dm_da = m / pencil.a - m * (np.vdot(qb, qb @ pencil.dS).real
-                                / np.vdot(qb, Sq).real)
-    w_hat = pencil.maps.inject @ qb[0]
-    l_hat = pencil.maps.inject @ qb[1] / pencil.params.Ha
-    return EvpSolution(m=m, dm_da=float(dm_da), Re_a=1.0 / m, w_hat=w_hat,
-                       l_hat=l_hat, q=qb, residual=residual)
+    residual = float(np.linalg.norm(1j * (K @ q) - m * (qb @ S).ravel()))
+    w_hat, l_hat = (pencil.maps.inject @ f for f in qb)
+    return EvpSolution(m=m, Re_a=1.0 / m, w_hat=w_hat, l_hat=l_hat, q=qb,
+                       residual=residual)
 
 
 def reynolds_curve(params, a_grid, N=60):
@@ -286,7 +273,7 @@ def reynolds_curve(params, a_grid, N=60):
     """
     a_grid = numbers(a_grid, "a_grid")
     for a in a_grid:
-        positive_scalar(a, "a_grid entries")
+        wavenumber(a, "a_grid entries")
     op, maps = _setup(N)
     forms = pencil_forms(params, op, profile_for(params, op.nodes), maps)
     out = []

@@ -22,7 +22,7 @@ import numpy.polynomial.chebyshev as ncheb
 from .baseflow import check_sample, profile_for
 from .errors import (ConsistencyError, NumericalError, ParameterError,
                      VerificationError, integer_in, positive_scalar,
-                     real_scalar)
+                     real_scalar, wavenumber)
 from .spectral import N_MAX, N_MIN, SpectralOperator, build_operator
 
 log = logging.getLogger(__name__)
@@ -42,9 +42,10 @@ _FD_SEED = 12345
 @dataclass(frozen=True, eq=False)
 class TrialField:
     """One spanwise Fourier mode of a kinematically admissible disturbance:
-    wall-normal velocity w_hat and magnetic l_hat with their in-plane
-    companions u_hat = (i/a) w_hat' and h_hat = (i/a) l_hat'.  The batched
-    random trials hold one such field per row of each array."""
+    wall-normal velocity w_hat and rescaled magnetic field l_hat = Ha l,
+    as solve_max_m returns them, with their in-plane companions
+    u_hat = (i/a) w_hat' and h_hat = (i/a) l_hat'.  The batched random
+    trials hold one such field per row of each array."""
 
     a: float
     w_hat: np.ndarray
@@ -133,12 +134,12 @@ def _random_clamped_fields(rng, count, a, op):
     """count seeded random clamped fields as one batched TrialField.
 
     Each field is (1 - z^2)^2 times Chebyshev series of degree op.N - 4
-    with standard complex Gaussian coefficients for w and l.  The draws are
-    one (count, 4, N - 3) block, the same stream as drawing Re w, Im w,
-    Re l, Im l field after field.  One real matrix product of the block
-    with the nodal values of (1 - z^2)^2 T_k gives Re w, Im w, Re l and
-    Im l of every field.  Returns the w and l coefficients (one row per
-    field) and the field batch.
+    with standard complex Gaussian coefficients for w and l~ = Ha l.  The
+    draws are one (count, 4, N - 3) block, the same stream as drawing
+    Re w, Im w, Re l~, Im l~ field after field.  One real matrix product of
+    the block with the nodal values of (1 - z^2)^2 T_k gives Re w, Im w,
+    Re l~ and Im l~ of every field.  Returns the w and l~ coefficients (one
+    row per field) and the field batch.
     """
     x = op.nodes
     z = rng.standard_normal((count, 4, op.N - 3))
@@ -165,6 +166,8 @@ def _functionals(field, params, sample, op):
 
     Clenshaw-Curtis quadratures of nodal values with raw collocation
     derivatives; raises ParameterError for a field with zero dissipation.
+    In (l~, h~) = Ha (l, h) no weight carries Ha^-1: Ha Pm on the B' cross
+    terms, Pm on the U' magnetic term and the magnetic energy.
     """
     a = field.a
     w = op.qweights
@@ -173,19 +176,18 @@ def _functionals(field, params, sample, op):
         return np.real(np.sum(w * f * np.conj(g), axis=-1))
 
     u, wf, h, lf = field.u_hat, field.w_hat, field.h_hat, field.l_hat
-    A = params.A
-    prod = -ip(sample.Uprime * wf, u) + A * (
-        ip(sample.Bprime * lf, u) - ip(sample.Bprime * wf, h)
-        + ip(sample.Uprime * lf, h))
-    Ha = params.Ha
-    diss1 = (_gradsq(u, a, op) + _gradsq(wf, a, op)
-             + Ha * Ha * (_gradsq(h, a, op) + _gradsq(lf, a, op)))
+    Ha, Pm = params.Ha, params.Pm
+    prod = (-ip(sample.Uprime * wf, u)
+            + Ha * Pm * (ip(sample.Bprime * lf, u) - ip(sample.Bprime * wf, h))
+            + Pm * ip(sample.Uprime * lf, h))
+    diss1 = (_gradsq(u, a, op) + _gradsq(wf, a, op) + _gradsq(h, a, op)
+             + _gradsq(lf, a, op))
     if np.any(diss1 <= 0.0):
         raise ParameterError("trial field has zero dissipation; the ratio "
                              "is undefined for the zero field")
     energy = 0.5 * (np.sum(w * (np.abs(u) ** 2 + np.abs(wf) ** 2), axis=-1)
-                    + A * np.sum(w * (np.abs(h) ** 2 + np.abs(lf) ** 2),
-                                 axis=-1))
+                    + Pm * np.sum(w * (np.abs(h) ** 2 + np.abs(lf) ** 2),
+                                  axis=-1))
     return prod, diss1, energy
 
 
@@ -219,7 +221,8 @@ def random_trial_bound(params, a, m_claimed, trials=1000, seed=0, N=60,
 
     Fields are (1 - z^2)^2 times Chebyshev series of degree at most N - 4
     with standard complex Gaussian coefficients, for both the velocity and
-    magnetic components.  Fields passed in inject (TrialField instances,
+    the rescaled magnetic field l~ = Ha l (the falsification report's "l"
+    coefficients are l~'s).  Fields passed in inject (TrialField instances,
     e.g. a solved eigenvector) are evaluated before the random trials and
     reported with negative 1-based indices.  The first trial whose ratio
     exceeds m_claimed by more than a factor (1 + 1e-6) raises
@@ -564,7 +567,7 @@ def fd_oracle(params, a, M=300):
     relative accuracy floor on grids of several thousand cells, far inside
     the tolerance this oracle is used to certify.
     """
-    a = positive_scalar(a, "wavenumber a")
+    a = wavenumber(a, "wavenumber a")
     M = integer_in(M, "M", 200)
     m1 = _fd_max_m(params, a, M)
     m2 = _fd_max_m(params, a, 2 * M)

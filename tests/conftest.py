@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import mhdes
+from mhdes.orr_evp import pencil_forms
 
 
 class Workbench:
@@ -48,6 +49,19 @@ class Workbench:
         if key not in self._sols:
             self._sols[key] = mhdes.solve_max_m(self.pencil(flow, Ha, a, N, Pm))
         return self._sols[key]
+
+    def slope(self, flow, Ha, a, N=60, Pm=0.1):
+        """dm/da of the solution at a, by the Hellmann-Feynman formula as
+        the reference: K is linear in a and S = Q2 + 2 a^2 Q1 + a^4 Q0, so
+        dm/da = m/a - m (4 a s1 + 4 a^3 s0) / (s2 + 2 a^2 s1 + a^4 s0)
+        with s_k = q^H blockdiag(Q_k, Q_k) q of the modal eigenvector q."""
+        sol = self.solution(flow, Ha, a, N, Pm)
+        forms = pencil_forms(self.params(flow, Ha, Pm), self.op(N),
+                             self.sample(flow, Ha, N), self.maps(N))
+        s0, s1, s2 = (np.vdot(sol.q, sol.q @ Q).real
+                      for Q in (forms.Q0, forms.Q1, forms.Q2))
+        return sol.m / a - sol.m * ((4.0 * a * s1 + 4.0 * a**3 * s0)
+                                    / (s2 + 2.0 * a * a * s1 + a**4 * s0))
 
     def eig_field(self, flow, Ha, a, N=60, Pm=0.1):
         sol = self.solution(flow, Ha, a, N, Pm)

@@ -15,7 +15,7 @@ import mhdes
 from mhdes import cli, critical, orr_evp, verify
 from mhdes.cli import (CURVE_HEADER, NEUTRAL_HEADER, PROFILE_HEADER,
                        RunConfig, _fmt)
-from mhdes.errors import NumericalError
+from mhdes.errors import NumericalError, ParameterError
 
 
 def run_python(*args):
@@ -275,6 +275,36 @@ def test_bad_config_files_are_usage_errors(tmp_path):
 ])
 def test_usage_errors_exit_two(args):
     assert run_cli(*args).returncode == 2
+
+
+def test_config_refuses_an_overflowing_fourth_power():
+    for window, name in (({"a_max": 1e300}, "a_max"),
+                         ({"a_max": 1.2e77}, "a_max"),
+                         ({"a_min": 1e90, "a_max": 1e91}, "a_min")):
+        with pytest.raises(ParameterError, match=f"{name} must have a finite "
+                           "fourth power"):
+            RunConfig(**window)
+
+
+@pytest.mark.parametrize("args", [
+    ("neutral", "--ha", "1", "--a-max", "1e300"),
+    ("curve", "--ha", "1", "--a-min", "1", "--a-max", "1e100"),
+    ("verify", "--ha", "1", "--a-min", "1e90", "--a-max", "1e91"),
+])
+def test_overflowing_wavenumbers_exit_two(args, capsys):
+    # a^4 would raise OverflowError in the assembly or the FD oracle
+    assert cli.main([*args, "--out", os.devnull]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("mhdes: error: ") and "fourth power" in err
+
+
+@pytest.mark.parametrize("flow", ["couette", "hartmann"])
+def test_verify_passes_at_vanishing_hartmann_number(flow, capsys):
+    # the functionals weigh l~ = Ha l, so nothing overflows at Ha = 1e-300
+    # (tier-1 turns any RuntimeWarning into an error)
+    assert cli.main(["verify", "--flow", flow, "--ha", "1e-300", "1e-200",
+                     "--out", os.devnull]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_a_points_belongs_to_curve(tmp_path, capsys):

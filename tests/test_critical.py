@@ -117,7 +117,7 @@ def test_scan_edge_minimum_with_inward_slope_is_refined(wb):
     sols = [wb.solution("hartmann", 20.0, float(a), N=48, Pm=1.0)
             for a in grid]
     assert int(np.argmin([s.Re_a for s in sols])) == grid.size - 1
-    assert sols[-1].dm_da < 0
+    assert wb.slope("hartmann", 20.0, float(grid[-1]), N=48, Pm=1.0) < 0
     walk = minimize_over_a(wb.params("hartmann", 20.0, Pm=1.0), 0.5, 5.0,
                            N=48)
     assert walk.converged
@@ -275,6 +275,16 @@ def test_window_validation(wb):
                 ("x", 4.0), (0.2, np.array([4.0, 5.0]))):
         with pytest.raises(ParameterError):
             minimize_over_a(params, bad[0], bad[1], N=50)
+
+
+def test_window_refuses_an_overflowing_fourth_power(wb):
+    # a^4 of either edge must be finite, so no step can overflow the form
+    params = wb.params("couette", 1.0)
+    for a_min, a_max, name in ((0.2, 1e300, "a_max"), (0.2, 1.2e77, "a_max"),
+                               (1e90, 1e91, "a_min")):
+        with pytest.raises(ParameterError, match=f"{name} must have a finite "
+                           "fourth power"):
+            minimize_over_a(params, a_min, a_max, N=50)
 
 
 def test_sweep_validation(monkeypatch):

@@ -392,6 +392,14 @@ def test_fd_oracle_validation(wb):
             mhdes.fd_oracle(params, bad, M=300)
 
 
+def test_fd_oracle_refuses_an_overflowing_fourth_power(wb):
+    params = wb.params("couette", 1.0)
+    for bad in (1.2e77, 1e100, 1e300):
+        with pytest.raises(ParameterError, match="wavenumber a must have a "
+                           "finite fourth power"):
+            mhdes.fd_oracle(params, bad, M=300)
+
+
 def test_fd_oracle_agrees_with_spectral_solver(wb):
     m_fd = mhdes.fd_oracle(wb.params("couette", 1.0), 1.2, M=300)
     m_sp = wb.solution("couette", 1.0, 1.2).m
