@@ -3,19 +3,20 @@
 Four subcommands cover the library surface: ``profile`` samples a base
 state, ``curve`` tabulates the threshold Reynolds number over wavenumber,
 ``neutral`` locates the minimizing wavenumber per Hartmann number, and
-``verify`` runs the independent checks against the spectral solver.
-Only ``curve`` takes a wavenumber grid (``--a-points``, 40 log-spaced
-points by default); ``neutral`` steps to each minimum by the
-frozen-eigenvector search over the window and rejects the flag like the
-other commands.  All numeric output uses 17-significant-digit scientific
-notation and contains no timestamps, so reruns at a fixed BLAS thread
-setting are byte-identical; at another thread count the last digits can
-differ, since BLAS sums in another order.  ``curve`` and ``neutral`` run
-the library sweeps ``reynolds_curve`` and ``neutral_sweep`` one Hartmann
-number after another; a point that fails to solve is printed as NaN and
-the remaining points are still computed.  Warnings of the library (a point
-or a whole Hartmann number that failed) reach stderr through one logging
-handler, prefixed ``mhdes: warning:`` like the command's own messages.
+``verify`` runs the independent checks against the spectral solver.  Each
+takes only the flags it reads (``--a-points`` belongs to ``curve`` alone),
+and each flag stores its value under the ``RunConfig`` field it sets.  A
+config file may hold every field; every command validates all of them and
+reads the ones it uses.  All numeric output uses 17-significant-digit
+scientific notation and contains no timestamps, so reruns at a fixed BLAS
+thread setting are byte-identical; at another thread count the last digits
+can differ, since BLAS sums in another order.  ``curve`` and ``neutral``
+run the library sweeps ``reynolds_curve`` and ``neutral_sweep`` one
+Hartmann number after another; a point that fails to solve is printed as
+NaN and the remaining points are still computed.  Warnings of the library
+(a point or a whole Hartmann number that failed) reach stderr through one
+logging handler, prefixed ``mhdes: warning:`` like the command's own
+messages.
 
 Exit codes: 0 success, 2 usage or parameter problems, 3 numerical solver
 failures (including any NaN row of ``curve`` or ``neutral``), 4 failed
@@ -203,8 +204,7 @@ def cmd_curve(config):
 
 def cmd_neutral(config):
     """Locate the threshold minimum per Hartmann number by the
-    frozen-eigenvector search over [a_min, a_max]; a_points plays no
-    part."""
+    frozen-eigenvector search over [a_min, a_max]."""
     points = neutral_sweep(config.flow, config.Ha_list, config.Pm,
                            a_window=(config.a_min, config.a_max), N=config.N)
     rows = [[p.flow, p.Ha, p.Pm, p.a_crit, p.Re_E, p.N_used, p.converged]
@@ -266,7 +266,7 @@ def _verify_point(config, Ha, perturb_m_rel, op, maps):
 def cmd_verify(config, perturb_m_rel=0.0):
     """Run the independent checks at each configured Hartmann number.
 
-    Always emits a JSON report regardless of the format flag.  The
+    Always emits a JSON report, whatever the config's format.  The
     perturbation hook offsets the claimed ratio before checking and exists
     so the failure path itself can be exercised end to end.  It must be a
     finite number above -1, so that the claim stays positive.
@@ -292,34 +292,40 @@ def build_parser():
         prog="mhdes",
         description="Energy-stability thresholds for conducting channel flows")
     sub = p.add_subparsers(dest="command", required=True)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--flow", choices=FLOWS,
-                        help="base state family")
-    common.add_argument("--ha", type=float, nargs="+", metavar="HA",
-                        help="one or more Hartmann numbers")
-    common.add_argument("--pm", type=float, help="magnetic Prandtl number")
-    common.add_argument("--a-min", type=float, help="lower wavenumber bound")
-    common.add_argument("--a-max", type=float, help="upper wavenumber bound")
-    common.add_argument("--n", type=int, help="polynomial order of the solver")
-    common.add_argument("--seed", type=int, help="seed for randomized checks")
-    common.add_argument("--config", help="JSON file with a RunConfig; "
-                        "explicit flags override its fields")
-    common.add_argument("--out", help="output path ('-' for stdout)")
-    common.add_argument("--format", choices=("csv", "json"),
-                        help="output format (default csv)")
-    sub.add_parser("profile", parents=[common],
-                   help="sample a base state on the collocation nodes")
-    pc = sub.add_parser("curve", parents=[common], help="tabulate the "
-                        "threshold Reynolds number over wavenumber")
-    pc.add_argument("--a-points", type=int, help="number of log-spaced "
-                    "wavenumbers in [a-min, a-max] (default 40)")
-    sub.add_parser("neutral", parents=[common],
-                   help="minimize the threshold over wavenumber per Ha")
-    pv = sub.add_parser("verify", parents=[common],
-                        help="independent checks of the spectral solver")
-    pv.add_argument("--perturb-m-rel", type=float, default=0.0,
-                    help="testing hook: offset the claimed ratio by this "
-                    "relative amount so the failure path can be exercised")
+    commands = {name: sub.add_parser(name, help=text) for name, text in (
+        ("profile", "sample a base state on the collocation nodes"),
+        ("curve", "tabulate the threshold Reynolds number over wavenumber"),
+        ("neutral", "minimize the threshold over wavenumber per Ha"),
+        ("verify", "independent checks of the spectral solver"))}
+
+    # each command takes only the flags it reads; every dest but config
+    # and perturb_m_rel is the RunConfig field that the flag sets
+    def flag(name, readers, **kwargs):
+        for command in readers.split():
+            commands[command].add_argument(name, **kwargs)
+
+    every, solvers = "profile curve neutral verify", "curve neutral verify"
+    flag("--flow", every, choices=FLOWS, help="base state family")
+    flag("--ha", every, dest="Ha_list", type=float, nargs="+", metavar="HA",
+         help="one or more Hartmann numbers")
+    flag("--pm", solvers, dest="Pm", type=float,
+         help="magnetic Prandtl number")
+    flag("--a-min", solvers, type=float, help="lower wavenumber bound")
+    flag("--a-max", solvers, type=float, help="upper wavenumber bound")
+    flag("--a-points", "curve", type=int, help="number of log-spaced "
+         "wavenumbers in [a-min, a-max] (default 40)")
+    flag("--n", every, dest="N", type=int,
+         help="polynomial order of the solver")
+    flag("--seed", "verify", type=int, help="seed for randomized checks")
+    flag("--config", every,
+         help="JSON file with a RunConfig; explicit flags override its fields")
+    flag("--out", every, dest="output_path", metavar="OUT",
+         help="output path ('-' for stdout)")
+    flag("--format", "profile curve neutral", choices=("csv", "json"),
+         help="output format (default csv)")
+    flag("--perturb-m-rel", "verify", type=float, default=0.0,
+         help="testing hook: offset the claimed ratio by this relative "
+         "amount so the failure path can be exercised")
     return p
 
 
@@ -329,16 +335,10 @@ def _merge_config(args):
             cfg = RunConfig.from_json(fh.read())
     else:
         cfg = RunConfig()
-    # flag name -> RunConfig field; --a-points exists for curve alone
-    fields = {"flow": "flow", "ha": "Ha_list", "pm": "Pm", "a_min": "a_min",
-              "a_max": "a_max", "a_points": "a_points", "n": "N",
-              "seed": "seed", "out": "output_path", "format": "format"}
-    overrides = {field: getattr(args, flag)
-                 for flag, field in fields.items()
-                 if getattr(args, flag, None) is not None}
-    if overrides:
-        cfg = dataclasses.replace(cfg, **overrides)
-    return cfg
+    fields = {f.name for f in dataclasses.fields(RunConfig)}
+    return dataclasses.replace(cfg, **{
+        name: value for name, value in vars(args).items()
+        if name in fields and value is not None})
 
 
 def main(argv=None):

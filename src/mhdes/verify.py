@@ -22,7 +22,7 @@ import numpy.polynomial.chebyshev as ncheb
 from .baseflow import check_sample, profile_for
 from .errors import (ConsistencyError, NumericalError, ParameterError,
                      VerificationError, integer_in, positive_scalar,
-                     real_scalar, wavenumber)
+                     wavenumber)
 from .spectral import N_MAX, N_MIN, SpectralOperator, build_operator
 
 log = logging.getLogger(__name__)
@@ -94,20 +94,12 @@ def make_trial_field(a, w_hat, l_hat, op):
     The in-plane components follow from incompressibility and the
     corresponding magnetic constraint for a single mode of wavenumber a.
     """
-    a = _check_wavenumber(a)
+    a = wavenumber(a, "wavenumber a")
     w_hat = np.asarray(w_hat, dtype=complex)
     l_hat = np.asarray(l_hat, dtype=complex)
     if w_hat.shape != op.nodes.shape or l_hat.shape != op.nodes.shape:
         raise ConsistencyError("field arrays must match the operator nodes")
     return _complete(a, w_hat, l_hat, op)
-
-
-def _check_wavenumber(a):
-    """a as a float if it is one finite nonzero real number, of either sign."""
-    a = real_scalar(a, "wavenumber a")
-    if not math.isfinite(a) or a == 0:
-        raise ParameterError(f"wavenumber a must be finite and nonzero, got {a}")
-    return a
 
 
 def _ddz(f, op):
@@ -238,7 +230,7 @@ def random_trial_bound(params, a, m_claimed, trials=1000, seed=0, N=60,
     than N, raises ConsistencyError; an op of another type raises
     ParameterError.
     """
-    a = _check_wavenumber(a)
+    a = wavenumber(a, "wavenumber a")
     m_claimed = positive_scalar(m_claimed, "m_claimed")
     trials = integer_in(trials, "trials", 1)
     seed = integer_in(seed, "seed", 0)

@@ -1,6 +1,7 @@
 """Command line behavior: end to end via subprocess, and in process where a
 solver failure is injected."""
 
+import dataclasses
 import json
 import logging
 import math
@@ -307,18 +308,37 @@ def test_verify_passes_at_vanishing_hartmann_number(flow, capsys):
     assert capsys.readouterr().err == ""
 
 
-def test_a_points_belongs_to_curve(tmp_path, capsys):
-    # only curve has a wavenumber grid; the other commands reject the flag
-    # instead of ignoring it, and a config cannot unset the grid size
-    for cmd in ("neutral", "profile", "verify"):
+# the flags each command does not read, with a value the flag would take
+FOREIGN_FLAGS = {
+    "profile": (("--pm", "0.1"), ("--a-min", "0.3"), ("--a-max", "3"),
+                ("--a-points", "5"), ("--seed", "1")),
+    "curve": (("--seed", "1"),),
+    "neutral": (("--a-points", "5"), ("--seed", "1")),
+    "verify": (("--a-points", "5"), ("--format", "json")),
+}
+
+
+@pytest.mark.parametrize("command", sorted(FOREIGN_FLAGS))
+def test_each_command_takes_only_its_flags(command, tmp_path, capsys):
+    # a flag that a command would not read is refused, naming the flag,
+    # instead of being ignored
+    for flag, value in FOREIGN_FLAGS[command]:
         with pytest.raises(SystemExit) as exc:
-            cli.main([cmd, "--ha", "1", "--n", "8", "--a-points", "5"])
+            cli.main([command, "--ha", "1", "--n", "8", flag, value])
         assert exc.value.code == 2
-        assert "--a-points" in capsys.readouterr().err
+        assert flag in capsys.readouterr().err
+    # a config may hold every field, but every command validates them all,
+    # so a config cannot unset the grid size
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"a_points": null}')
-    assert cli.main(["curve", "--config", str(cfg), "--n", "8"]) == 2
+    assert cli.main([command, "--config", str(cfg), "--n", "8"]) == 2
     assert "a_points" in capsys.readouterr().err
+    # each flag stores its value under the RunConfig field it sets
+    parser = cli.build_parser()
+    subparsers = next(a for a in parser._actions if a.dest == "command")
+    dests = {a.dest for a in subparsers.choices[command]._actions} - {"help"}
+    fields = {f.name for f in dataclasses.fields(RunConfig)}
+    assert dests <= fields | {"config", "perturb_m_rel"}
 
 
 def test_failed_points_print_nan_and_exit_three(monkeypatch, capsys, caplog):

@@ -262,8 +262,10 @@ def test_trial_bound_validation(wb):
         mhdes.random_trial_bound(params, 1.2, 0.0, trials=10, seed=0)
     with pytest.raises(ParameterError):
         mhdes.random_trial_bound(params, 1.2, 1.0, trials=0, seed=0)
-    # NaN ratios never exceed the claim, so a bad wavenumber would pass
-    for a in (np.nan, np.inf, 0.0):
+    # NaN ratios never exceed the claim, so a bad wavenumber would pass;
+    # so would a = 1e160, whose a^2 overflows to a max_ratio of -inf, and
+    # the solver refuses a negative a
+    for a in (np.nan, np.inf, 0.0, 1e160, -1.2):
         with pytest.raises(ParameterError, match="wavenumber"):
             mhdes.random_trial_bound(params, a, 1.0, trials=10, seed=0)
     for trials, seed in ((2.5, 0), (True, 0), (10, -1), (10, 1.5)):
@@ -337,8 +339,9 @@ def test_decay_check_validation(wb):
 def test_field_functionals_reject_bad_scalars(wb, bad):
     op, fld = wb.op(60), envelope_field(wb)
     params, sample = wb.params("couette", 1.0), wb.sample("couette", 1.0, 60)
-    with pytest.raises(ParameterError, match="wavenumber"):
-        mhdes.make_trial_field(bad, fld.w_hat, fld.l_hat, op)
+    for a in (bad, 1e160, -1.2):
+        with pytest.raises(ParameterError, match="wavenumber"):
+            mhdes.make_trial_field(a, fld.w_hat, fld.l_hat, op)
     if bad is not None:  # Re=None asks for no dEdt
         with pytest.raises(ParameterError, match="Re must"):
             mhdes.energy_ratio(fld, params, sample, op, Re=bad)
