@@ -39,7 +39,7 @@ from .errors import (ConsistencyError, MhdesError, NumericalError,
                      ParameterError, VerificationError, integer_in, numbers,
                      real_scalar, wavenumber)
 from .orr_evp import assemble_pencil, reynolds_curve, solve_max_m
-from .spectral import N_MAX, N_MIN, build_operator, clamped_restrict
+from .spectral import N_MAX, N_MIN, build_operator, setup
 from .verify import (_decay_terms, _random_clamped_fields, decay_check,
                      energy_ratio, fd_oracle, make_trial_field, poincare_check,
                      random_trial_bound)
@@ -213,9 +213,10 @@ def cmd_neutral(config):
     return _sweep_status([p.Re_E for p in points])
 
 
-def _verify_point(config, Ha, perturb_m_rel, op, maps):
+def _verify_point(config, Ha, perturb_m_rel):
     """Every check at one Ha, the FD oracle last: the point's report."""
     params = Params(flow=config.flow, Ha=Ha, Pm=config.Pm)
+    op, maps = setup(config.N)
     sample = profile_for(params, op.nodes)
     a = 1.2 if config.a_min <= 1.2 <= config.a_max else float(
         np.sqrt(config.a_min * config.a_max))
@@ -233,8 +234,7 @@ def _verify_point(config, Ha, perturb_m_rel, op, maps):
     # claim is falsified by the maximizer itself
     try:
         rep = random_trial_bound(params, a, m_claimed, trials=VERIFY_TRIALS,
-                                 seed=config.seed, N=config.N, inject=(field,),
-                                 op=op, sample=sample)
+                                 seed=config.seed, N=config.N, inject=(field,))
         checks["random_trial_bound"] = {"passed": True, **rep}
     except VerificationError as exc:
         checks["random_trial_bound"] = {"passed": False, "report": exc.report}
@@ -275,9 +275,7 @@ def cmd_verify(config, perturb_m_rel=0.0):
     if not (math.isfinite(perturb_m_rel) and perturb_m_rel > -1.0):
         raise ParameterError(f"--perturb-m-rel must be finite and > -1, got "
                              f"{perturb_m_rel}")
-    op = build_operator(config.N)
-    maps = clamped_restrict(op)
-    points = [_verify_point(config, Ha, perturb_m_rel, op, maps)
+    points = [_verify_point(config, Ha, perturb_m_rel)
               for Ha in config.Ha_list]
     passed = all(p["passed"] for p in points)
     report = {"flow": config.flow, "Pm": config.Pm, "N": config.N,
@@ -306,7 +304,9 @@ def build_parser():
 
     every, solvers = "profile curve neutral verify", "curve neutral verify"
     flag("--flow", every, choices=FLOWS, help="base state family")
-    flag("--ha", every, dest="Ha_list", type=float, nargs="+", metavar="HA",
+    flag("--ha", "profile", dest="Ha_list", type=float, nargs=1,
+         metavar="HA", help="Hartmann number")
+    flag("--ha", solvers, dest="Ha_list", type=float, nargs="+", metavar="HA",
          help="one or more Hartmann numbers")
     flag("--pm", solvers, dest="Pm", type=float,
          help="magnetic Prandtl number")

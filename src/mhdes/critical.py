@@ -9,8 +9,8 @@ search takes secant steps on log T(a) - log a from the window's geometric
 midpoint, with T itself as the fallback step, at one solve per step.  The
 best value ever seen is kept.  A minimum that lands on the window edge is
 returned with converged=False since the true minimizer may lie outside.
-The operator and clamped maps depend on N alone, so consecutive searches
-at one N, such as the points of a Hartmann-number sweep, build them once.
+Consecutive searches at one N, such as the points of a Hartmann-number
+sweep, share the one operator and set of clamped maps of spectral.setup.
 """
 
 import logging
@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 from .baseflow import Params, profile_for
 from .errors import NumericalError, ParameterError, numbers, wavenumber
-from .orr_evp import _setup, pencil_forms, solve_max_m
+from .orr_evp import pencil_forms, solve_max_m
+from .spectral import setup
 
 log = logging.getLogger(__name__)
 
@@ -59,7 +60,7 @@ def minimize_over_a(params, a_min=0.2, a_max=4.0, N=60):
     a_max = wavenumber(a_max, "a_max")
     if not a_min < a_max:
         raise ParameterError(f"need a_min < a_max, got [{a_min}, {a_max}]")
-    op, maps = _setup(N)
+    op, maps = setup(N)
     forms = pencil_forms(params, op, profile_for(params, op.nodes), maps)
 
     failures = []

@@ -33,7 +33,6 @@ real arithmetic.  The solve, like the whole package, uses NumPy alone,
 so every wavenumber runs on one bundled OpenBLAS and its one worker pool.
 """
 
-import functools
 import logging
 from dataclasses import dataclass
 
@@ -41,8 +40,8 @@ import numpy as np
 
 from .baseflow import Params, check_sample, profile_for
 from .errors import (ConsistencyError, NumericalError, ParameterError,
-                     integer_in, numbers, wavenumber)
-from .spectral import N_MAX, N_MIN, ClampedMaps, build_operator, clamped_restrict
+                     numbers, wavenumber)
+from .spectral import ClampedMaps, setup
 
 log = logging.getLogger(__name__)
 
@@ -85,19 +84,6 @@ class EvpSolution:
     l_hat: np.ndarray
     q: np.ndarray
     residual: float
-
-
-def _setup(N):
-    """Operator and clamped maps at N, kept for the next search at that N.
-    N is checked here, since the cache hashes it before build_operator
-    could reject it."""
-    return _cached_setup(integer_in(N, "N", N_MIN, N_MAX))
-
-
-@functools.lru_cache(maxsize=1)
-def _cached_setup(N):
-    op = build_operator(N)
-    return op, clamped_restrict(op)
 
 
 @dataclass(frozen=True, eq=False)
@@ -264,7 +250,7 @@ def solve_max_m(pencil):
 
 def reynolds_curve(params, a_grid, N=60):
     """Threshold curve Re_a = 1/m over a nonempty 1-D grid of wavenumbers
-    a > 0, on the operator and maps shared with minimize_over_a at N.
+    a > 0, on the operator and maps of spectral.setup(N).
 
     Returns a list of (a, Re_a) pairs in grid order.  Individual solver
     failures are reported as NaN, and counted in one warning per curve, so
@@ -274,7 +260,7 @@ def reynolds_curve(params, a_grid, N=60):
     a_grid = numbers(a_grid, "a_grid")
     for a in a_grid:
         wavenumber(a, "a_grid entries")
-    op, maps = _setup(N)
+    op, maps = setup(N)
     forms = pencil_forms(params, op, profile_for(params, op.nodes), maps)
     out = []
     failures = []

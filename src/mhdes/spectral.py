@@ -7,9 +7,11 @@ are the modal functions (1 - z^2)^2 * T_j(z), so the degrees of freedom are
 their coefficients and column j has the parity of j.  The basis and its
 derivatives are evaluated from exact Chebyshev coefficients through one
 Chebyshev-Vandermonde matrix rather than as products of collocation
-matrices, which would add rounding.
+matrices, which would add rounding.  setup(N) keeps the operator and maps
+of the last N asked for: the one grid that every layer at that N reads.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,9 +131,22 @@ def clamped_restrict(op):
         P[np.abs(j - k), j] += c / 2
     T = ncheb.chebvander(op.nodes, N)
     R = T @ P
-    G1 = T[:, :N] @ ncheb.chebder(P, 1)
-    G2 = T[:, :N - 1] @ ncheb.chebder(P, 2)
+    dP = ncheb.chebder(P)
+    G1 = T[:, :N] @ dP
+    G2 = T[:, :N - 1] @ ncheb.chebder(dP)
     for tab in (R, G1):
         tab[0, :] = 0.0
         tab[N, :] = 0.0
     return ClampedMaps(inject=R, basis_d1=G1, basis_d2=G2)
+
+
+def setup(N):
+    """Operator of order N and its clamped maps, kept for the next caller;
+    N is checked first, since the cache hashes it."""
+    return _cached_setup(integer_in(N, "N", N_MIN, N_MAX))
+
+
+@functools.lru_cache(maxsize=1)
+def _cached_setup(N):
+    op = build_operator(N)
+    return op, clamped_restrict(op)

@@ -4,12 +4,13 @@ Everything here deliberately avoids the clamped Galerkin machinery used by
 the pencil assembly: energy functionals are evaluated by raw collocation
 derivatives and quadrature on full nodal fields, and fd_oracle rebuilds
 the whole eigenproblem on a uniform grid with second-order central finite
-differences and finds its top eigenvalue by one Lanczos run per grid.
-Like the rest of the package it uses NumPy alone: one block-tridiagonal
-Cholesky kernel serves both the mass solves and the certificate of each
-value.  Agreement between these routes and the spectral solver is what the
-acceptance tests certify, so the two implementations must never be
-collapsed into one.
+differences and finds its top eigenvalue by one Lanczos run per grid;
+random_trial_bound reads the solver's grid of spectral.setup but never its
+clamped maps.  Like the rest of the package it uses NumPy alone: one
+block-tridiagonal Cholesky kernel serves both the mass solves and the
+certificate of each value.  Agreement between these routes and the
+spectral solver is what the acceptance tests certify, so the two
+implementations must never be collapsed into one.
 """
 
 import logging
@@ -23,7 +24,7 @@ from .baseflow import check_sample, profile_for
 from .errors import (ConsistencyError, NumericalError, ParameterError,
                      VerificationError, integer_in, positive_scalar,
                      wavenumber)
-from .spectral import N_MAX, N_MIN, SpectralOperator, build_operator
+from .spectral import setup
 
 log = logging.getLogger(__name__)
 
@@ -146,10 +147,14 @@ def _random_clamped_fields(rng, count, a, op):
     return cw, cl, field
 
 
-def _check_bundle(field, params, sample, op):
-    check_sample(sample, params, op)
+def _check_field(field, op):
     if field.w_hat.shape != op.nodes.shape:
         raise ConsistencyError("field arrays do not match the operator nodes")
+
+
+def _check_bundle(field, params, sample, op):
+    check_sample(sample, params, op)
+    _check_field(field, op)
 
 
 def _functionals(field, params, sample, op):
@@ -208,42 +213,30 @@ def _serialize_pair(cw, cl):
 
 
 def random_trial_bound(params, a, m_claimed, trials=1000, seed=0, N=60,
-                       inject=(), *, op=None, sample=None):
+                       inject=()):
     """Stress the claimed maximum ratio with seeded random clamped fields.
 
     Fields are (1 - z^2)^2 times Chebyshev series of degree at most N - 4
     with standard complex Gaussian coefficients, for both the velocity and
     the rescaled magnetic field l~ = Ha l (the falsification report's "l"
-    coefficients are l~'s).  Fields passed in inject (TrialField instances,
-    e.g. a solved eigenvector) are evaluated before the random trials and
-    reported with negative 1-based indices.  The first trial whose ratio
-    exceeds m_claimed by more than a factor (1 + 1e-6) raises
+    coefficients are l~'s), on the operator of order N that spectral.setup
+    shares with the searches and the base flow sampled on its nodes.
+    Fields passed in inject (TrialField instances at wavenumber a on those
+    nodes, e.g. a solved eigenvector) are evaluated before the random
+    trials and reported with negative 1-based indices; one at another
+    wavenumber or order raises ConsistencyError.  The first trial whose
+    ratio exceeds m_claimed by more than a factor (1 + 1e-6) raises
     VerificationError carrying a falsification report with the offending
     field; otherwise the maximum ratio and its gap to the claim are
     returned.  The random trials are drawn and evaluated as one batch (see
     _random_clamped_fields).
-
-    op and sample, keyword-only, are the operator of order N and the base
-    flow sampled on its nodes, as energy_ratio takes them; a caller that
-    holds both skips rebuilding them.  Either one left out is built here.
-    A sample for other params or nodes, or an operator of another order
-    than N, raises ConsistencyError; an op of another type raises
-    ParameterError.
     """
     a = wavenumber(a, "wavenumber a")
     m_claimed = positive_scalar(m_claimed, "m_claimed")
     trials = integer_in(trials, "trials", 1)
     seed = integer_in(seed, "seed", 0)
-    N = integer_in(N, "N", N_MIN, N_MAX)
-    if op is None:
-        op = build_operator(N)
-    elif not isinstance(op, SpectralOperator):
-        raise ParameterError("expected a SpectralOperator")
-    elif op.N != N:
-        raise ConsistencyError(f"operator is of order {op.N}, not N={N}")
-    if sample is None:
-        sample = profile_for(params, op.nodes)
-    check_sample(sample, params, op)
+    op, _ = setup(N)
+    sample = profile_for(params, op.nodes)
     limit = m_claimed * (1.0 + TRIAL_RTOL)
 
     def falsified(index, ratio, cw, cl):
@@ -263,6 +256,8 @@ def random_trial_bound(params, a, m_claimed, trials=1000, seed=0, N=60,
 
     max_ratio = -math.inf
     for k, field in enumerate(inject):
+        if field.a != a:
+            raise ConsistencyError(f"injected field at a={field.a:g}, not {a:g}")
         ratio = energy_ratio(field, params, sample, op).ratio
         max_ratio = max(max_ratio, ratio)
         if ratio > limit:
@@ -308,7 +303,9 @@ def decay_check(field, params, Re, Re_E, sample, op):
 
 def poincare_check(field, op):
     """Check pi^2/4 * ||f||^2 <= ||grad f||^2 (1 + 1e-8) for each field
-    component; the gradient includes the a^2 in-plane contribution."""
+    component; the gradient includes the a^2 in-plane contribution.  A
+    field off the operator's nodes raises ConsistencyError."""
+    _check_field(field, op)
     ratios = {}
     ok = True
     for name in ("u_hat", "w_hat", "h_hat", "l_hat"):

@@ -64,10 +64,16 @@ def test_profile_pressure_driven_centerline():
     assert abs(float(mid[1]) - 1.0) <= 1e-3
 
 
-def test_profile_uses_first_hartmann_number():
-    one = run_cli("profile", "--ha", "2", "--n", "8").stdout
-    two = run_cli("profile", "--ha", "2", "5", "--n", "8").stdout
-    assert one == two
+def test_profile_takes_one_hartmann_number(tmp_path):
+    # --ha takes one value, and a config holding several samples the first
+    proc = run_cli("profile", "--ha", "2", "5", "--n", "8")
+    assert proc.returncode == 2 and "5" in proc.stderr
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"Ha_list": [2, 5]}))
+    one = run_cli("profile", "--ha", "2", "--n", "8")
+    two = run_cli("profile", "--config", str(cfg), "--n", "8")
+    assert one.returncode == two.returncode == 0
+    assert one.stdout == two.stdout
 
 
 def test_curve_blocks_and_grid():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mhdes import (clamped_restrict, critical, minimize_over_a, neutral_sweep,
-                   orr_evp, reynolds_curve, solve_max_m)
+                   orr_evp, reynolds_curve, solve_max_m, spectral)
 from mhdes.critical import A_TOL
 from mhdes.errors import NumericalError, ParameterError
 
@@ -210,8 +210,8 @@ def test_sweep_builds_operator_and_maps_once(monkeypatch):
         built.append(op.N)
         return clamped_restrict(op)
 
-    monkeypatch.setattr(orr_evp, "clamped_restrict", counted)
-    orr_evp._cached_setup.cache_clear()
+    monkeypatch.setattr(spectral, "clamped_restrict", counted)
+    spectral._cached_setup.cache_clear()
     with pytest.raises(ParameterError):
         neutral_sweep("couette", [1.0], 0.1, a_window=(4.0, 0.2), N=36)
     with pytest.raises(ParameterError):
@@ -220,7 +220,7 @@ def test_sweep_builds_operator_and_maps_once(monkeypatch):
     pts = neutral_sweep("couette", [0.5, 1.0, 2.0], 0.1, N=36)
     assert built == [36]
     assert all(p.converged and p.N_used == 36 for p in pts)
-    orr_evp._cached_setup.cache_clear()
+    spectral._cached_setup.cache_clear()
 
 
 def test_searches_build_forms_once_and_share_the_setup(wb, monkeypatch):
@@ -239,9 +239,9 @@ def test_searches_build_forms_once_and_share_the_setup(wb, monkeypatch):
     for module in (critical, orr_evp):
         counted(module, "profile_for")
         counted(module, "pencil_forms")
-    counted(orr_evp, "build_operator")
-    counted(orr_evp, "clamped_restrict")
-    orr_evp._cached_setup.cache_clear()
+    counted(spectral, "build_operator")
+    counted(spectral, "clamped_restrict")
+    spectral._cached_setup.cache_clear()
     params = wb.params("hartmann", 3.0)
     pt = minimize_over_a(params, 0.2, 4.0, N=36)
     assert pt.converged
@@ -250,7 +250,7 @@ def test_searches_build_forms_once_and_share_the_setup(wb, monkeypatch):
     curve = reynolds_curve(params, np.geomspace(0.2, 4.0, 9), N=36)
     assert all(np.isfinite(re_a) for _, re_a in curve)
     assert calls[4:] == ["profile_for", "pencil_forms"]
-    orr_evp._cached_setup.cache_clear()
+    spectral._cached_setup.cache_clear()
 
 
 @pytest.mark.parametrize("N", [[60], 60.0, True, "60"])

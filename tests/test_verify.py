@@ -2,6 +2,7 @@
 
 import gc
 import json
+import os
 
 import numpy as np
 import numpy.polynomial.chebyshev as ncheb
@@ -10,7 +11,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 import mhdes
-from mhdes import verify
+from mhdes import cli, spectral, verify
 from mhdes.errors import (ConsistencyError, NumericalError, ParameterError,
                           VerificationError)
 from mhdes.verify import (POINCARE_BOUND, TRIAL_RTOL, _fd_max_m, _functionals,
@@ -96,6 +97,14 @@ def test_bundle_consistency_checks(wb):
     with pytest.raises(ConsistencyError):
         mhdes.energy_ratio(fld, wb.params("couette", 1.0),
                            wb.sample("couette", 1.0, 60), wb.op(60))
+    with pytest.raises(ConsistencyError):
+        mhdes.poincare_check(fld, wb.op(60))
+    # an injected field at another wavenumber does not bear on the claim
+    # at a, though its own ratio exceeds it
+    m = wb.solution("couette", 1.0, 1.2).m
+    with pytest.raises(ConsistencyError):
+        mhdes.random_trial_bound(wb.params("couette", 1.0), 1.2, m, trials=10,
+                                 inject=(wb.eig_field("couette", 1.0, 1.9),))
 
 
 def test_eigenvector_ratio_matches_eigenvalue(wb):
@@ -227,33 +236,34 @@ def test_falsification_names_first_random_offender(wb):
     json.dumps(report)
 
 
-def test_trial_bound_reuses_given_setup(wb, monkeypatch):
-    # a caller's operator and sample are used as they are, and give the
-    # report that the function builds on its own
-    params, op = wb.params("hartmann", 10.0), wb.op(60)
-    sample = wb.sample("hartmann", 10.0, 60)
-    fld = wb.eig_field("hartmann", 10.0, 1.2)
-    m = wb.solution("hartmann", 10.0, 1.2).m
-    own = mhdes.random_trial_bound(params, 1.2, m, trials=200, seed=5,
-                                   inject=(fld,))
+def test_verify_and_trial_bound_share_one_setup(wb, monkeypatch):
+    # mhdes verify builds the grid once for all its points and checks, and
+    # random_trial_bound reads it from the same cache
+    built = []
 
-    def forbidden(*args, **kwargs):
-        raise AssertionError("the given setup must not be rebuilt")
+    def counted(name):
+        original = getattr(spectral, name)
 
-    monkeypatch.setattr(verify, "build_operator", forbidden)
-    monkeypatch.setattr(verify, "profile_for", forbidden)
-    given = mhdes.random_trial_bound(params, 1.2, m, trials=200, seed=5,
-                                     inject=(fld,), op=op, sample=sample)
-    assert given == own
-    with pytest.raises(ConsistencyError):
+        def wrapper(*args, **kwargs):
+            built.append(name)
+            return original(*args, **kwargs)
+        monkeypatch.setattr(spectral, name, wrapper)
+
+    counted("build_operator")
+    counted("clamped_restrict")
+    spectral._cached_setup.cache_clear()
+    assert cli.main(["verify", "--ha", "1", "10", "--n", "40",
+                     "--out", os.devnull]) == 0
+    assert built == ["build_operator", "clamped_restrict"]
+    params = wb.params("hartmann", 10.0)
+    m = wb.solution("hartmann", 10.0, 1.2, N=40).m
+    report = mhdes.random_trial_bound(params, 1.2, m, trials=10, seed=5, N=40)
+    assert report["max_ratio"] <= m * (1.0 + TRIAL_RTOL)
+    assert built == ["build_operator", "clamped_restrict"]
+    with pytest.raises(TypeError):
         mhdes.random_trial_bound(params, 1.2, m, trials=10, seed=5, N=40,
-                                 op=op, sample=sample)
-    with pytest.raises(ConsistencyError):
-        mhdes.random_trial_bound(wb.params("couette", 10.0), 1.2, m,
-                                 trials=10, seed=5, op=op, sample=sample)
-    with pytest.raises(ParameterError, match="SpectralOperator"):
-        mhdes.random_trial_bound(params, 1.2, m, trials=10, seed=5,
-                                 op=op.nodes)
+                                 op=wb.op(40))
+    spectral._cached_setup.cache_clear()
 
 
 def test_trial_bound_validation(wb):
