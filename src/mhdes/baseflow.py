@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (ConsistencyError, ParameterError, numbers,
+from .errors import (ConsistencyError, ParameterError, instance, numbers,
                      positive_scalar)
 from .spectral import SpectralOperator
 
@@ -174,22 +174,21 @@ def hartmann_profile(Ha, z):
 
 def profile_for(params, z):
     """Sample the base state selected by params on nodes z."""
-    if params.flow == "couette":
+    if instance(params, Params, "params").flow == "couette":
         return couette_profile(params.Ha, z)
     return hartmann_profile(params.Ha, z)
 
 
 def check_sample(sample, params, op):
     """Raise ConsistencyError unless sample was built for params on the
-    nodes of op, and ParameterError if op or sample is of another type.
+    nodes of op, and ParameterError naming any of the three of another type.
 
     This is the one bundle check shared by the pencil assembly and the
     verification layer.
     """
-    if not isinstance(op, SpectralOperator):
-        raise ParameterError("expected a SpectralOperator")
-    if not isinstance(sample, BaseFlowSample):
-        raise ParameterError("expected a BaseFlowSample")
+    instance(op, SpectralOperator, "op")
+    instance(sample, BaseFlowSample, "sample")
+    instance(params, Params, "params")
     if sample.flow != params.flow or sample.Ha != params.Ha:
         raise ConsistencyError(
             f"sample is for flow={sample.flow!r}, Ha={sample.Ha:g}; params "
@@ -215,9 +214,8 @@ def baseflow_residual(sample, params):
     the bound 1e-12 is meaningful at large Hartmann number where the raw
     terms reach Ha^2 in size.
     """
-    if not isinstance(sample, BaseFlowSample):
-        raise ParameterError("baseflow_residual expects a BaseFlowSample")
-    Ha = params.Ha
+    instance(sample, BaseFlowSample, "sample")
+    Ha = instance(params, Params, "params").Ha
     res1 = sample.Usecond - Ha * Ha * sample.U
     if params.flow == "hartmann":
         dev1 = np.max(np.abs(res1 - np.mean(res1)))

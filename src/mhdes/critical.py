@@ -53,8 +53,8 @@ def minimize_over_a(params, a_min=0.2, a_max=4.0, N=60):
     moved a by at most A_TOL and returns the best value ever solved.  A
     minimum on the window edge, where T points out of the window, or a
     search cut short by a failed solve, is returned with converged=False.
-    Failed solves are counted in one warning per minimum; if the first solve
-    fails, a NumericalError naming its error is raised.
+    The search stops at its first failed solve, logging one warning that
+    names its a; if the first solve fails, a NumericalError is raised.
     """
     a_min = wavenumber(a_min, "a_min")
     a_max = wavenumber(a_max, "a_max")
@@ -63,55 +63,41 @@ def minimize_over_a(params, a_min=0.2, a_max=4.0, N=60):
     op, maps = setup(N)
     forms = pencil_forms(params, op, profile_for(params, op.nodes), maps)
 
-    failures = []
     best_a, best_re = math.nan, math.inf
-
-    def solve_at(a):
-        nonlocal best_a, best_re
-        try:
-            sol = solve_max_m(forms.at(a))
-        except NumericalError as exc:
-            failures.append((a, exc))
-            return math.nan
-        if sol.Re_a < best_re:
-            best_a, best_re = a, sol.Re_a
-        return forms.frozen_argmin(sol.q)
-
-    def point(converged):
-        if failures:
-            a, exc = failures[0]
-            log.warning("%s Ha=%g Pm=%g: %d threshold solves failed; "
-                        "first at a=%g: %s", params.flow, params.Ha, params.Pm,
-                        len(failures), a, exc)
-        return NeutralPoint(flow=params.flow, Ha=params.Ha, Pm=params.Pm,
-                            a_crit=best_a, Re_E=best_re, N_used=op.N,
-                            converged=converged)
-
     # secant steps on h(a) = log T(a) - log a in log a, or T itself where
     # there is no secant or its point leaves the window; clamped in a, so
     # a step onto an edge lands on it exactly
     a, last = math.sqrt(a_min * a_max), None
     while True:
-        t = solve_at(a)
-        if failures:
+        try:
+            sol = solve_max_m(forms.at(a))
+        except NumericalError as exc:
             if last is None:
                 raise NumericalError(f"first threshold solve failed for "
-                                     f"{params}: {failures[0][1]}")
-            return point(converged=False)
-        h = math.log(t / a)
-        x = t
+                                     f"{params}: {exc}") from exc
+            log.warning("%s Ha=%g Pm=%g: threshold solve failed at a=%g: %s",
+                        params.flow, params.Ha, params.Pm, a, exc)
+            converged = False
+            break
+        if sol.Re_a < best_re:
+            best_a, best_re = a, sol.Re_a
+        x = forms.frozen_argmin(sol.q)
+        h = math.log(x / a)
         if last is not None and h != last[1]:
             secant = a * math.exp(h * math.log(last[0] / a) / (h - last[1]))
             if a_min <= secant <= a_max:
                 x = secant
         x = min(max(x, a_min), a_max)
-        # the clamped step stays put only on an edge that T points out of,
-        # or where h is exactly zero
-        if x == a:
-            return point(converged=a_min < a < a_max)
-        if last is not None and abs(a - last[0]) <= A_TOL:
-            return point(converged=True)
+        # stop where the clamped step stays put, which it does only on an
+        # edge that T points out of (unconverged) or where h is exactly
+        # zero, or once a step has moved a by at most A_TOL
+        if x == a or last is not None and abs(a - last[0]) <= A_TOL:
+            converged = x != a or a_min < a < a_max
+            break
         last, a = (a, h), x
+    return NeutralPoint(flow=params.flow, Ha=params.Ha, Pm=params.Pm,
+                        a_crit=best_a, Re_E=best_re, N_used=op.N,
+                        converged=converged)
 
 
 def neutral_sweep(flow, Ha_list, Pm, a_window=(0.2, 4.0), N=60):

@@ -4,7 +4,10 @@ that raise its ParameterError.
 The command line maps these onto process exit codes: parameter and usage
 problems exit 2, numerical solver failures exit 3, and failed verification
 checks exit 4.  Every layer checks a caller's numbers and counts with the
-checks below, so the library and the command line refuse alike.
+checks below, and each part of a bundle handed between layers (Params,
+SpectralOperator, BaseFlowSample, ClampedMaps, TrialField, EvpPencil)
+with the one type check, instance, so the library and the command line
+refuse alike.
 """
 
 import math
@@ -40,6 +43,14 @@ class VerificationError(MhdesError):
     def __init__(self, message, report=None):
         super().__init__(message)
         self.report = report
+
+
+def instance(value, cls, name):
+    """value if it is a cls, else a ParameterError naming the part."""
+    if not isinstance(value, cls):
+        raise ParameterError(f"{name} must be of type {cls.__name__}, got "
+                             f"{type(value).__name__}")
+    return value
 
 
 def real_scalar(value, name):

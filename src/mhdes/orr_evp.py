@@ -39,8 +39,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .baseflow import Params, check_sample, profile_for
-from .errors import (ConsistencyError, NumericalError, ParameterError,
-                     numbers, wavenumber)
+from .errors import (ConsistencyError, NumericalError, instance, numbers,
+                     wavenumber)
 from .spectral import ClampedMaps, setup
 
 log = logging.getLogger(__name__)
@@ -139,7 +139,7 @@ def pencil_forms(params, op, sample, maps):
     nonvanishing parity blocks.  op, sample, and maps must describe the
     same grid and parameters; mismatches raise ConsistencyError."""
     check_sample(sample, params, op)
-    if maps.inject.shape != (op.N + 1, op.N - 3):
+    if instance(maps, ClampedMaps, "maps").inject.shape != (op.N + 1, op.N - 3):
         raise ConsistencyError("clamped maps do not match the operator order")
     qw, R, G1, G2 = op.qweights, maps.inject, maps.basis_d1, maps.basis_d2
     # a derivative flips a column's parity, and B' has the other parity
@@ -189,8 +189,7 @@ def solve_max_m(pencil):
     the flow's parity says vanishes raises NumericalError instead of
     being solved.
     """
-    if not isinstance(pencil, EvpPencil):
-        raise ParameterError("solve_max_m expects an EvpPencil")
+    instance(pencil, EvpPencil, "pencil")
     K, S = pencil.K, pencil.S
     if np.iscomplexobj(K) or np.iscomplexobj(S):
         raise NumericalError("pencil is complex; the real solve does not apply")

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.polynomial.chebyshev as ncheb
 
-from .errors import ParameterError, integer_in
+from .errors import instance, integer_in
 
 N_MIN = 8
 N_MAX = 512
@@ -120,9 +120,7 @@ def clamped_restrict(op):
     the coefficients (differentiated for basis_d1/basis_d2).  Wall rows of
     the value and first-derivative tables are set to their exact zeros.
     """
-    if not isinstance(op, SpectralOperator):
-        raise ParameterError("clamped_restrict expects a SpectralOperator")
-    N = op.N
+    N = instance(op, SpectralOperator, "op").N
     j = np.arange(N - 3)
     P = np.zeros((N + 1, N - 3))
     # (1-z^2)^2 = 3/8 T_0 - 1/2 T_2 + 1/8 T_4

@@ -22,9 +22,9 @@ import numpy.polynomial.chebyshev as ncheb
 
 from .baseflow import check_sample, profile_for
 from .errors import (ConsistencyError, NumericalError, ParameterError,
-                     VerificationError, integer_in, positive_scalar,
+                     VerificationError, instance, integer_in, positive_scalar,
                      wavenumber)
-from .spectral import setup
+from .spectral import SpectralOperator, setup
 
 log = logging.getLogger(__name__)
 
@@ -98,8 +98,7 @@ def make_trial_field(a, w_hat, l_hat, op):
     a = wavenumber(a, "wavenumber a")
     w_hat = np.asarray(w_hat, dtype=complex)
     l_hat = np.asarray(l_hat, dtype=complex)
-    if w_hat.shape != op.nodes.shape or l_hat.shape != op.nodes.shape:
-        raise ConsistencyError("field arrays must match the operator nodes")
+    _check_nodes(op, w_hat, l_hat)
     return _complete(a, w_hat, l_hat, op)
 
 
@@ -147,14 +146,15 @@ def _random_clamped_fields(rng, count, a, op):
     return cw, cl, field
 
 
-def _check_field(field, op):
-    if field.w_hat.shape != op.nodes.shape:
+def _check_nodes(op, w_hat, l_hat):
+    shape = instance(op, SpectralOperator, "op").nodes.shape
+    if np.shape(w_hat) != shape or np.shape(l_hat) != shape:
         raise ConsistencyError("field arrays do not match the operator nodes")
 
 
-def _check_bundle(field, params, sample, op):
-    check_sample(sample, params, op)
-    _check_field(field, op)
+def _check_field(field, op):
+    instance(field, TrialField, "field")
+    _check_nodes(op, field.w_hat, field.l_hat)
 
 
 def _functionals(field, params, sample, op):
@@ -197,7 +197,8 @@ def energy_ratio(field, params, sample, op, Re=None):
     coincides with the primary functional D1.  Re, when given, also
     evaluates dEdt = I - D/Re.
     """
-    _check_bundle(field, params, sample, op)
+    check_sample(sample, params, op)
+    _check_field(field, op)
     prod, diss1, energy = (float(v) for v in
                            _functionals(field, params, sample, op))
     dEdt = None
@@ -256,9 +257,10 @@ def random_trial_bound(params, a, m_claimed, trials=1000, seed=0, N=60,
 
     max_ratio = -math.inf
     for k, field in enumerate(inject):
+        # energy_ratio checks the field before its wavenumber is read
+        ratio = energy_ratio(field, params, sample, op).ratio
         if field.a != a:
             raise ConsistencyError(f"injected field at a={field.a:g}, not {a:g}")
-        ratio = energy_ratio(field, params, sample, op).ratio
         max_ratio = max(max_ratio, ratio)
         if ratio > limit:
             raise falsified(-(k + 1), ratio, field.w_hat, field.l_hat)
@@ -294,7 +296,8 @@ def decay_check(field, params, Re, Re_E, sample, op):
     field, with a relative slack of 1e-10 |D| absorbing quadrature
     rounding.  Returns the signed margin (bound - dEdt, >= 0 when the
     certificate holds)."""
-    _check_bundle(field, params, sample, op)
+    check_sample(sample, params, op)
+    _check_field(field, op)
     dEdt, bound = (float(v) for v in
                    _decay_terms(field, params, Re, Re_E, sample, op))
     return DecayReport(dEdt=dEdt, bound=bound, margin=bound - dEdt,
@@ -494,8 +497,9 @@ def _fd_max_m(params, a, M):
     matrices, since the Lanczos value alone degrades as the mass matrix
     norm grows like h^-4.  The value m is certified by one factorization:
     FD_SHIFT m Mm - Lh must have a Cholesky factor (_fd_factor), so no
-    eigenvalue lies above FD_SHIFT m.  A missing factor, or a run that
-    does not converge within FD_LANCZOS_STEPS steps, raises NumericalError.
+    eigenvalue lies above FD_SHIFT m.  A missing factor, a non-finite norm
+    (a^4 near 1e308 overflows Mm), or a run that does not converge within
+    FD_LANCZOS_STEPS steps, raises NumericalError.
     """
     Lb, Sb = _fd_matrices(params, a, M)
     mass_solve_real = _block_solver(*_block_cholesky(
@@ -515,26 +519,29 @@ def _fd_max_m(params, a, M):
     V = np.empty((steps, n), dtype=complex)
     MV = np.empty((steps, n), dtype=complex)
     T = np.zeros((steps, steps))
-    mw = mass(w)
-    norm = math.sqrt(np.vdot(w, mw).real)
-    for j in range(steps):
-        if j:
-            T[j - 1, j] = T[j, j - 1] = norm
-        V[j], MV[j] = w / norm, mw / norm
-        lv = _band_matvec(Lb, V[j])
-        T[j, j] = np.vdot(V[j], lv).real
-        w = mass_solve(lv)
-        # classical Gram-Schmidt twice against the whole basis
-        for _ in range(2):
-            w -= (MV[:j + 1] @ w.conj()).conj() @ V[:j + 1]
+    with np.errstate(over="ignore", invalid="ignore"):
         mw = mass(w)
         norm = math.sqrt(np.vdot(w, mw).real)
-        theta, s = np.linalg.eigh(T[:j + 1, :j + 1])
-        if norm * abs(s[-1, -1]) <= FD_LANCZOS_TOL * abs(theta[-1]):
-            break
-    else:
-        raise NumericalError(f"FD Lanczos at M={M} did not converge in "
-                             f"{steps} steps")
+        for j in range(steps):
+            if not math.isfinite(norm):
+                raise NumericalError(f"FD Lanczos at M={M} overflowed: {norm}")
+            if j:
+                T[j - 1, j] = T[j, j - 1] = norm
+            V[j], MV[j] = w / norm, mw / norm
+            lv = _band_matvec(Lb, V[j])
+            T[j, j] = np.vdot(V[j], lv).real
+            w = mass_solve(lv)
+            # classical Gram-Schmidt twice against the whole basis
+            for _ in range(2):
+                w -= (MV[:j + 1] @ w.conj()).conj() @ V[:j + 1]
+            mw = mass(w)
+            norm = math.sqrt(np.vdot(w, mw).real)
+            theta, s = np.linalg.eigh(T[:j + 1, :j + 1])
+            if norm * abs(s[-1, -1]) <= FD_LANCZOS_TOL * abs(theta[-1]):
+                break
+        else:
+            raise NumericalError(f"FD Lanczos at M={M} did not converge in "
+                                 f"{steps} steps")
     q = s[:, -1] @ V[:j + 1]
     m = (float(np.vdot(q, _band_matvec(Lb, q)).real)
          / float(np.vdot(q, mass(q)).real))

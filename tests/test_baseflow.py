@@ -106,6 +106,8 @@ def test_residual_detects_mismatched_parameters(wb):
 def test_residual_rejects_non_sample(wb):
     with pytest.raises(ParameterError):
         baseflow_residual(np.zeros(5), wb.params("couette", 1.0))
+    with pytest.raises(ParameterError, match="^params must be of type"):
+        baseflow_residual(wb.sample("couette", 1.0, 50), None)
 
 
 def test_large_hartmann_number_is_stable(wb):

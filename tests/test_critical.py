@@ -275,6 +275,8 @@ def test_window_validation(wb):
                 ("x", 4.0), (0.2, np.array([4.0, 5.0]))):
         with pytest.raises(ParameterError):
             minimize_over_a(params, bad[0], bad[1], N=50)
+    with pytest.raises(ParameterError, match="^params must be of type"):
+        minimize_over_a(None, N=50)
 
 
 def test_window_refuses_an_overflowing_fourth_power(wb):

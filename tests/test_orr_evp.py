@@ -232,6 +232,8 @@ def test_threshold_curve_validation(wb):
     for bad in ([[0.5, 1.0], [1.5, 2.0]], ["x"], "abc", [True]):
         with pytest.raises(ParameterError, match="a_grid"):
             mhdes.reynolds_curve(params, bad, N=50)
+    with pytest.raises(ParameterError, match="^params must be of type"):
+        mhdes.reynolds_curve(None, [1.0], N=50)
 
 
 def test_assembly_validation(wb):
@@ -254,6 +256,8 @@ def test_assembly_validation(wb):
         mhdes.assemble_pencil(params, 1.2, op, wb.sample("couette", 1.0, 60), mp)
     with pytest.raises(ConsistencyError):
         mhdes.assemble_pencil(params, 1.2, op, sample, wb.maps(60))
+    with pytest.raises(ParameterError, match="^maps must be of type"):
+        pencil_forms(params, op, sample, "x")
     with pytest.raises(ParameterError):
         mhdes.solve_max_m(np.eye(4))
 

@@ -99,6 +99,22 @@ def test_bundle_consistency_checks(wb):
                            wb.sample("couette", 1.0, 60), wb.op(60))
     with pytest.raises(ConsistencyError):
         mhdes.poincare_check(fld, wb.op(60))
+    # every part of the wrong type is named; both field arrays must lie on
+    # the operator's nodes
+    params, sample, op = (wb.params("couette", 1.0),
+                          wb.sample("couette", 1.0, 50), wb.op(50))
+    with pytest.raises(ParameterError, match="^op must be of type"):
+        mhdes.make_trial_field(1.0, fld.w_hat, fld.l_hat, "x")
+    with pytest.raises(ParameterError, match="^op must be of type"):
+        mhdes.poincare_check(fld, op.nodes)
+    short = verify.TrialField(a=fld.a, w_hat=fld.w_hat, l_hat=fld.l_hat[:5],
+                              u_hat=fld.u_hat, h_hat=fld.h_hat)
+    with pytest.raises(ConsistencyError, match="field arrays"):
+        mhdes.energy_ratio(short, params, sample, op)
+    with pytest.raises(ParameterError, match="^field must be of type"):
+        mhdes.energy_ratio("x", params, sample, op)
+    with pytest.raises(ParameterError, match="^field must be of type"):
+        mhdes.decay_check("x", params, 10.0, 20.0, sample, op)
     # an injected field at another wavenumber does not bear on the claim
     # at a, though its own ratio exceeds it
     m = wb.solution("couette", 1.0, 1.2).m
@@ -287,6 +303,13 @@ def test_trial_bound_validation(wb):
             mhdes.random_trial_bound(params, bad, 1.0, trials=10, seed=0)
         with pytest.raises(ParameterError, match="m_claimed"):
             mhdes.random_trial_bound(params, 1.2, bad, trials=10, seed=0)
+    with pytest.raises(ParameterError, match="^params must be of type"):
+        mhdes.random_trial_bound(None, 1.2, 0.1)
+    # an injected entry must be a TrialField, not its raw arrays
+    fld = wb.eig_field("couette", 1.0, 1.2)
+    with pytest.raises(ParameterError, match="^field must be of type"):
+        mhdes.random_trial_bound(params, 1.2, 1.0, trials=10,
+                                 inject=[(fld.w_hat, fld.l_hat)])
 
 
 def test_decay_certificate_below_threshold(wb, rng):
@@ -403,6 +426,8 @@ def test_fd_oracle_validation(wb):
     for bad in BAD_NUMBERS:
         with pytest.raises(ParameterError, match="wavenumber"):
             mhdes.fd_oracle(params, bad, M=300)
+    with pytest.raises(ParameterError, match="^params must be of type"):
+        mhdes.fd_oracle(None, 1.2)
 
 
 def test_fd_oracle_refuses_an_overflowing_fourth_power(wb):
@@ -411,6 +436,13 @@ def test_fd_oracle_refuses_an_overflowing_fourth_power(wb):
         with pytest.raises(ParameterError, match="wavenumber a must have a "
                            "finite fourth power"):
             mhdes.fd_oracle(params, bad, M=300)
+
+
+def test_fd_oracle_overflow_below_the_fourth_power_limit_is_numerical(wb):
+    # a^4 is finite at 1e77 but overflows the mass product of the Lanczos
+    # run; warnings are errors in this suite, so none may be raised either
+    with pytest.raises(NumericalError, match="M=300"):
+        mhdes.fd_oracle(wb.params("couette", 1.0), 1e77)
 
 
 def test_fd_oracle_agrees_with_spectral_solver(wb):
