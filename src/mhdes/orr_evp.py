@@ -34,7 +34,8 @@ so every wavenumber runs on one bundled OpenBLAS and its one worker pool.
 """
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -71,19 +72,59 @@ class EvpPencil:
 
 @dataclass(frozen=True, eq=False)
 class EvpSolution:
-    """Largest eigenvalue m, the threshold Re_a = 1/m, the full-grid
-    eigenfields w and l~ = Ha l, the modal eigenvector q, and the pencil
-    residual of the returned pair with q at unit 2-norm.  q and the
+    """Largest eigenvalue m and the threshold Re_a = 1/m of a solved
+    pencil, with its eigenvector formed on first read: the modal
+    eigenvector q, the full-grid eigenfields w and l~ = Ha l, and the
+    pencil residual of the returned pair with q at unit 2-norm.  q and the
     residual are in modal coordinates: the coefficients of the clamped
     basis functions (1 - z^2)^2 T_j, not nodal values; q has shape (2, n),
-    its rows w and l~."""
+    its rows w and l~.  Each is computed the first time it is read and
+    kept, so a caller that reads only m or Re_a, as reynolds_curve does,
+    never pays for the eigenvector.  A solution holds its pencil and the
+    factors that the eigenvector is formed from for as long as it is kept."""
 
     m: float
     Re_a: float
-    w_hat: np.ndarray
-    l_hat: np.ndarray
-    q: np.ndarray
-    residual: float
+    # what the eigenvector stage reads: the pencil, the block Cholesky
+    # factor C, the chosen whitened block B with G = B^T B and its top
+    # eigenvalue, and the parity halves of B's rows and columns
+    _stage: tuple = field(repr=False)
+
+    @cached_property
+    def q(self):
+        """The unit modal eigenvector of m (see solve_max_m)."""
+        _, C, G, B, top, rows, cols = self._stage
+        n = G.shape[0]
+        shifted = G - (1.0 + INVERSE_SHIFT) * top * np.eye(n)
+        w = np.cos(np.arange(n))  # a fixed start vector
+        for _ in range(2):
+            w = _unit(np.linalg.solve(shifted, w))
+        # solving with C^T keeps the residual at the level of a generalized
+        # Hermitian solve; multiplying by C^-T raises it to 1.5e-9 at N = 101
+        x = np.linalg.solve(C.T, np.column_stack((w, B @ w)))
+        q = np.zeros(2 * n, dtype=complex)
+        q[cols] = x[:, 0]
+        q[rows] += 1j * x[:, 1] / self.m
+        # rows are the two fields
+        return _unit(q).reshape(2, n)
+
+    @cached_property
+    def residual(self):
+        """|i K q - m blockdiag(S, S) q| of the unit eigenvector q."""
+        pencil = self._stage[0]
+        # S is symmetric, so q @ S is S applied to each field
+        return float(np.linalg.norm(1j * (pencil.K @ self.q.ravel())
+                                    - self.m * (self.q @ pencil.S).ravel()))
+
+    @cached_property
+    def w_hat(self):
+        """The velocity row of q injected onto the full grid."""
+        return self._stage[0].maps.inject @ self.q[0]
+
+    @cached_property
+    def l_hat(self):
+        """The l~ row of q injected onto the full grid."""
+        return self._stage[0].maps.inject @ self.q[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,7 +205,8 @@ def assemble_pencil(params, a, op, sample, maps):
 
 
 def solve_max_m(pencil):
-    """Largest eigenvalue of the assembled pencil and its eigenvector.
+    """Largest eigenvalue of the assembled pencil, with its eigenvector
+    formed on first read.
 
     The pencil i K q = m blockdiag(S, S) q is self-adjoint: K is real
     antisymmetric and S is real symmetric positive definite.  The even
@@ -175,15 +217,22 @@ def solve_max_m(pencil):
     for couette, and of the larger whitened half B = C^-1 K[Pi, Pi] C^-T
     for hartmann (P1 on a tie), where q is exactly zero on the other
     half, so the nearly degenerate wall modes of large Ha are not mixed.
-    w, a unit vector of the top eigenspace of B^T B, comes from two
-    shifted inverse-iteration steps, and C^-T brings w + i B w / m back.
-    Couette's B can still have a near-double top singular value at large
-    Ha, closer than the shift (8.3e-9 relative at Ha = 50, N = 160): m
-    is unaffected, but the eigenvector may then mix the two.
 
-    The eigenvector is scaled to unit 2-norm before its rows w and l~ are
-    injected back onto the full grid, and the residual is
-    |i K q - m blockdiag(S, S) q|.  A pencil whose K or S is complex,
+    Only m is solved here, with every check below.  The eigenvector is
+    formed the first time the solution's q, w_hat, l_hat or residual is
+    read, and kept; reynolds_curve reads none of them, so its solves stop
+    at the eigenvalues.  w, a unit vector of the top eigenspace of B^T B,
+    comes from two shifted inverse-iteration steps, and C^-T brings
+    w + i B w / m back.  Couette's B can still have a near-double top
+    singular value at large Ha, closer than the shift (8.3e-9 relative at
+    Ha = 50, N = 160): m is unaffected, but the eigenvector may then mix
+    the two.  The eigenvector is scaled to unit 2-norm before its rows w
+    and l~ are injected back onto the full grid, and the residual is
+    |i K q - m blockdiag(S, S) q|; each normalization first scales by an
+    exact power of two, so no norm overflows or underflows at a
+    wavenumber whose a^4 is finite.
+
+    A pencil whose K or S is complex,
     whose K is not exactly antisymmetric or S not exactly symmetric, whose
     S has no Cholesky factor, or whose K or S is nonzero in a block that
     the flow's parity says vanishes raises NumericalError instead of
@@ -226,25 +275,18 @@ def solve_max_m(pencil):
         raise NumericalError(
             f"largest eigenvalue is non-positive ({m:g}); the growth "
             "ratio must be positive for the supported base states")
-    shifted = G - (1.0 + INVERSE_SHIFT) * top * np.eye(n)
-    w = np.cos(np.arange(n))  # a fixed start vector
-    for _ in range(2):
-        w = np.linalg.solve(shifted, w)
-        w /= np.linalg.norm(w)
-    # solving with C^T keeps the residual at the level of a generalized
-    # Hermitian solve; multiplying by C^-T raises it to 1.5e-9 at N = 101
-    x = np.linalg.solve(C.T, np.column_stack((w, B @ w)))
-    q = np.zeros(2 * n, dtype=complex)
-    q[cols] = x[:, 0]
-    q[rows] += 1j * x[:, 1] / m
-    q /= np.linalg.norm(q)
-    # rows are the two fields; S is symmetric, so qb @ S is S applied to
-    # each field
-    qb = q.reshape(2, n)
-    residual = float(np.linalg.norm(1j * (K @ q) - m * (qb @ S).ravel()))
-    w_hat, l_hat = (pencil.maps.inject @ f for f in qb)
-    return EvpSolution(m=m, Re_a=1.0 / m, w_hat=w_hat, l_hat=l_hat, q=qb,
-                       residual=residual)
+    return EvpSolution(m=m, Re_a=1.0 / m,
+                       _stage=(pencil, C, G, B, top, rows, cols))
+
+
+def _unit(v):
+    """v / |v|, with v first scaled by the power of two that brings its
+    largest entry into [0.5, 1), so that the norm can neither overflow nor
+    underflow.  The scaling is exact: where the unscaled norm would have
+    stayed in range, the result is bit for bit the unscaled one."""
+    scale = -np.frexp(np.max(np.abs(v)))[1]
+    v = np.ldexp(v.view(float), scale).view(v.dtype)
+    return v / np.linalg.norm(v)
 
 
 def reynolds_curve(params, a_grid, N=60):

@@ -146,15 +146,16 @@ def _random_clamped_fields(rng, count, a, op):
     return cw, cl, field
 
 
-def _check_nodes(op, w_hat, l_hat):
+def _check_nodes(op, *arrays):
     shape = instance(op, SpectralOperator, "op").nodes.shape
-    if np.shape(w_hat) != shape or np.shape(l_hat) != shape:
+    if any(np.shape(f) != shape for f in arrays):
         raise ConsistencyError("field arrays do not match the operator nodes")
 
 
 def _check_field(field, op):
     instance(field, TrialField, "field")
-    _check_nodes(op, field.w_hat, field.l_hat)
+    wavenumber(field.a, "field.a")
+    _check_nodes(op, field.w_hat, field.l_hat, field.u_hat, field.h_hat)
 
 
 def _functionals(field, params, sample, op):

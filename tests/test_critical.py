@@ -1,5 +1,7 @@
 """Threshold minimization over the wavenumber window and parameter sweeps."""
 
+import logging
+
 import numpy as np
 import pytest
 
@@ -287,6 +289,20 @@ def test_window_refuses_an_overflowing_fourth_power(wb):
         with pytest.raises(ParameterError, match=f"{name} must have a finite "
                            "fourth power"):
             minimize_over_a(params, a_min, a_max, N=50)
+
+
+@pytest.mark.parametrize("flow,Ha,window", [("couette", 1.0, (1e39, 1e40)),
+                                            ("hartmann", 10.0, (1e19, 1e20)),
+                                            ("hartmann", 10.0, (1e29, 1e30))])
+def test_search_at_huge_wavenumbers_stays_finite(wb, caplog, flow, Ha, window):
+    # each normalization of the eigenvector first scales by an exact power
+    # of two, so no norm overflows (a RuntimeWarning fails the suite) and
+    # no step lands on a = nan: the search ends on a window edge
+    caplog.set_level(logging.WARNING, logger="mhdes")
+    pt = minimize_over_a(wb.params(flow, Ha), *window)
+    assert not caplog.records
+    assert not pt.converged and pt.a_crit in window
+    assert np.isfinite(pt.Re_E) and pt.Re_E > 0
 
 
 def test_sweep_validation(monkeypatch):

@@ -1,12 +1,14 @@
 """Clamped eigenvalue pencil: structure, solves, thresholds, symmetries."""
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
 import mhdes
+from mhdes import orr_evp, spectral
 from mhdes.errors import (ConsistencyError, NumericalError, ParameterError,
                           wavenumber)
 from mhdes.orr_evp import EvpPencil, _assemble, pencil_forms
@@ -389,3 +391,82 @@ def test_hartmann_eigenvector_lies_in_one_parity_half(wb):
         q = np.concatenate((sol.w_hat, sol.l_hat))
         halves = [np.count_nonzero(q[P]) for P in parity_halves(n)]
         assert min(halves) == 0 < max(halves), halves
+
+
+EIGENVECTOR_READS = ("q", "w_hat", "l_hat", "residual")
+
+
+def eager_solve(pen):
+    """(m, q, w_hat, l_hat, residual) of a pencil, every part formed at
+    once in the solver's arithmetic: the eager solve that the lazy
+    eigenvector stage replaced, without its checks, as the reference."""
+    K, S = pen.K, pen.S
+    n = S.shape[0]
+    ev, od = np.arange(0, n, 2), np.arange(1, n, 2)
+    k, C = len(ev), np.zeros((n, n))
+    C[:k, :k], C[k:, k:] = (np.linalg.cholesky(S[np.ix_(p, p)])
+                            for p in (ev, od))
+    P1, P2 = np.r_[ev, n + od], np.r_[n + ev, od]
+    Ci = np.linalg.inv(C)
+    blocks = []
+    halves = ((P1, P2),) if pen.params.flow == "couette" else ((P1, P1),
+                                                               (P2, P2))
+    for rows, cols in halves:
+        B = Ci @ K[np.ix_(rows, cols)] @ Ci.T
+        if rows is cols:
+            B = 0.5 * (B - B.T)
+        G = B.T @ B
+        blocks.append((np.linalg.eigvalsh(G)[-1], G, B, rows, cols))
+    top, G, B, rows, cols = max(blocks, key=lambda b: b[0])
+    m = float(np.sqrt(max(top, 0.0)))
+    shifted = G - (1.0 + orr_evp.INVERSE_SHIFT) * top * np.eye(n)
+    w = np.cos(np.arange(n))
+    for _ in range(2):
+        w = np.linalg.solve(shifted, w)
+        w /= np.linalg.norm(w)
+    x = np.linalg.solve(C.T, np.column_stack((w, B @ w)))
+    q = np.zeros(2 * n, dtype=complex)
+    q[cols] = x[:, 0]
+    q[rows] += 1j * x[:, 1] / m
+    q /= np.linalg.norm(q)
+    qb = q.reshape(2, n)
+    residual = float(np.linalg.norm(1j * (K @ q) - m * (qb @ S).ravel()))
+    return m, qb, pen.maps.inject @ qb[0], pen.maps.inject @ qb[1], residual
+
+
+@pytest.mark.parametrize("flow,Ha", [("couette", 1.0), ("hartmann", 50.0)])
+def test_threshold_curve_forms_no_eigenvector(wb, monkeypatch, flow, Ha):
+    # the curve reads Re_a alone, so with every eigenvector read made to
+    # raise it still returns the values of the full solve
+    def unread(self):
+        raise AssertionError("reynolds_curve formed an eigenvector")
+
+    for name in EIGENVECTOR_READS:
+        monkeypatch.setattr(mhdes.EvpSolution, name, property(unread))
+    params, grid = wb.params(flow, Ha), [0.5, 1.2, 4.2, 20.0]
+    curve = mhdes.reynolds_curve(params, grid, N=60)
+    op, maps = spectral.setup(60)
+    forms = pencil_forms(params, op, wb.sample(flow, Ha, 60), maps)
+    assert curve == [(a, mhdes.solve_max_m(forms.at(a)).Re_a) for a in grid]
+
+
+def test_eigenvector_reads_are_kept(wb):
+    sol = mhdes.solve_max_m(wb.pencil("hartmann", 10.0, 1.2))
+    for name in EIGENVECTOR_READS:
+        assert getattr(sol, name) is getattr(sol, name)
+
+
+@pytest.mark.parametrize("flow,Ha", sorted(M_ANCHORS))
+def test_eigenvector_is_the_eager_one_in_any_read_order(wb, flow, Ha):
+    # m and each eigenvector part are the eager solve's bits, whichever
+    # part is read first
+    pen = wb.pencil(flow, Ha, 1.2)
+    m, *eager = eager_solve(pen)
+    for order in itertools.permutations(range(len(EIGENVECTOR_READS))):
+        sol = mhdes.solve_max_m(pen)
+        got = [None] * len(order)
+        for k in order:
+            got[k] = getattr(sol, EIGENVECTOR_READS[k])
+        assert sol.m == m
+        for name, lazy, ref in zip(EIGENVECTOR_READS, got, eager):
+            assert np.array_equal(lazy, ref), name

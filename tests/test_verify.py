@@ -1,5 +1,6 @@
 """Independent energy functionals, decay certificates, and the FD oracle."""
 
+import dataclasses
 import gc
 import json
 import os
@@ -115,6 +116,20 @@ def test_bundle_consistency_checks(wb):
         mhdes.energy_ratio("x", params, sample, op)
     with pytest.raises(ParameterError, match="^field must be of type"):
         mhdes.decay_check("x", params, 10.0, 20.0, sample, op)
+    # each of the four arrays is checked against the nodes, and the
+    # wavenumber as one, by every functional that takes a field
+    checks = (lambda f: mhdes.energy_ratio(f, params, sample, op),
+              lambda f: mhdes.decay_check(f, params, 10.0, 20.0, sample, op),
+              lambda f: mhdes.poincare_check(f, op))
+    for name in ("w_hat", "l_hat", "u_hat", "h_hat"):
+        off = dataclasses.replace(fld, **{name: getattr(fld, name)[:5]})
+        for check in checks:
+            with pytest.raises(ConsistencyError, match="field arrays"):
+                check(off)
+    for a in ("x", None, -1.0, np.nan):
+        for check in checks:
+            with pytest.raises(ParameterError, match="field.a"):
+                check(dataclasses.replace(fld, a=a))
     # an injected field at another wavenumber does not bear on the claim
     # at a, though its own ratio exceeds it
     m = wb.solution("couette", 1.0, 1.2).m
