@@ -86,27 +86,29 @@ class EvpSolution:
     m: float
     Re_a: float
     # what the eigenvector stage reads: the pencil, the block Cholesky
-    # factor C, the chosen whitened block B with G = B^T B and its top
-    # eigenvalue, and the parity halves of B's rows and columns
+    # factor C, the chosen whitened block B, G = B^T B at unit scale and
+    # its top eigenvalue, and the parity halves of B's rows and columns
     _stage: tuple = field(repr=False)
 
     @cached_property
     def q(self):
-        """The unit modal eigenvector of m (see solve_max_m)."""
+        """The unit modal eigenvector of m, from G at unit scale."""
         _, C, G, B, top, rows, cols = self._stage
         n = G.shape[0]
         shifted = G - (1.0 + INVERSE_SHIFT) * top * np.eye(n)
         w = np.cos(np.arange(n))  # a fixed start vector
         for _ in range(2):
-            w = _unit(np.linalg.solve(shifted, w))
+            w = np.linalg.solve(shifted, w)
+            w /= np.linalg.norm(w)
         # solving with C^T keeps the residual at the level of a generalized
         # Hermitian solve; multiplying by C^-T raises it to 1.5e-9 at N = 101
         x = np.linalg.solve(C.T, np.column_stack((w, B @ w)))
         q = np.zeros(2 * n, dtype=complex)
         q[cols] = x[:, 0]
         q[rows] += 1j * x[:, 1] / self.m
+        q /= np.linalg.norm(q)
         # rows are the two fields
-        return _unit(q).reshape(2, n)
+        return q.reshape(2, n)
 
     @cached_property
     def residual(self):
@@ -149,8 +151,9 @@ class PencilForms:
         V = 0.5 * (a * self.shear)
         C = a * self.params.Ha * Pm * self.coupling
         S = self.Q2 + 2.0 * a * a * self.Q1 + a**4 * self.Q0
+        S = 0.5 * S + 0.5 * S.T  # S + S^T overflows from a = 1.03e77
         return EvpPencil(a=a, K=np.block([[V, -0.5 * C], [0.5 * C, -Pm * V]]),
-                         S=0.5 * (S + S.T), params=self.params, maps=self.maps)
+                         S=S, params=self.params, maps=self.maps)
 
     def frozen_argmin(self, q):
         """The wavenumber T > 0 that minimizes Re_a with the modal
@@ -228,15 +231,18 @@ def solve_max_m(pencil):
     Ha = 50, N = 160): m is unaffected, but the eigenvector may then mix
     the two.  The eigenvector is scaled to unit 2-norm before its rows w
     and l~ are injected back onto the full grid, and the residual is
-    |i K q - m blockdiag(S, S) q|; each normalization first scales by an
-    exact power of two, so no norm overflows or underflows at a
-    wavenumber whose a^4 is finite.
+    |i K q - m blockdiag(S, S) q|.
 
-    A pencil whose K or S is complex,
-    whose K is not exactly antisymmetric or S not exactly symmetric, whose
-    S has no Cholesky factor, or whose K or S is nonzero in a block that
-    the flow's parity says vanishes raises NumericalError instead of
-    being solved.
+    B scales as a at small a and as a^-3 at large a, so G = B^T B is
+    formed from B scaled by the power of two 2^-e, one for both hartmann
+    halves so that their tops compare, that brings the largest whitened
+    entry into [0.5, 1); m = 2^e sqrt(top) is exact at both ends.
+
+    A pencil whose K or S is complex, whose K is not exactly
+    antisymmetric or S not exactly symmetric, whose S has no Cholesky
+    factor, whose K or S is nonzero in a block that the flow's parity says
+    vanishes, or whose m has no finite threshold 1/m (a below about
+    3e-307) raises NumericalError instead of being solved.
     """
     instance(pencil, EvpPencil, "pencil")
     K, S = pencil.K, pencil.S
@@ -262,31 +268,23 @@ def solve_max_m(pencil):
         raise NumericalError("K or S couples the parity halves against the "
                              "flow's parity; the split solve does not apply")
     Ci = np.linalg.inv(C)
-    blocks = []
+    halves = []
     for rows, cols in ((P1, P2),) if cross else ((P1, P1), (P2, P2)):
         B = Ci @ K[np.ix_(rows, cols)] @ Ci.T
-        if rows is cols:
-            B = 0.5 * (B - B.T)
-        G = B.T @ B
+        halves.append((0.5 * (B - B.T) if rows is cols else B, rows, cols))
+    e = int(np.frexp(max(np.max(np.abs(B)) for B, _, _ in halves))[1])
+    blocks = []
+    for B, rows, cols in halves:
+        Bs = np.ldexp(B, -e)
+        G = Bs.T @ Bs
         blocks.append((np.linalg.eigvalsh(G)[-1], G, B, rows, cols))
     top, G, B, rows, cols = max(blocks, key=lambda b: b[0])  # P1 on a tie
-    m = float(np.sqrt(max(top, 0.0)))
-    if not m > 0:
-        raise NumericalError(
-            f"largest eigenvalue is non-positive ({m:g}); the growth "
-            "ratio must be positive for the supported base states")
+    m = float(np.ldexp(np.sqrt(max(top, 0.0)), e))
+    if not (m > 0 and np.isfinite(1.0 / m)):
+        raise NumericalError(f"largest eigenvalue {m:g} has no finite "
+                             "positive threshold 1/m")
     return EvpSolution(m=m, Re_a=1.0 / m,
                        _stage=(pencil, C, G, B, top, rows, cols))
-
-
-def _unit(v):
-    """v / |v|, with v first scaled by the power of two that brings its
-    largest entry into [0.5, 1), so that the norm can neither overflow nor
-    underflow.  The scaling is exact: where the unscaled norm would have
-    stayed in range, the result is bit for bit the unscaled one."""
-    scale = -np.frexp(np.max(np.abs(v)))[1]
-    v = np.ldexp(v.view(float), scale).view(v.dtype)
-    return v / np.linalg.norm(v)
 
 
 def reynolds_curve(params, a_grid, N=60):

@@ -293,11 +293,16 @@ def test_window_refuses_an_overflowing_fourth_power(wb):
 
 @pytest.mark.parametrize("flow,Ha,window", [("couette", 1.0, (1e39, 1e40)),
                                             ("hartmann", 10.0, (1e19, 1e20)),
-                                            ("hartmann", 10.0, (1e29, 1e30))])
+                                            ("hartmann", 10.0, (1e29, 1e30)),
+                                            ("couette", 1.0, (1e60, 1e61)),
+                                            ("couette", 1.0, (1e-170, 1e-160)),
+                                            ("couette", 1.0, (1e76, 1.1e77))])
 def test_search_at_huge_wavenumbers_stays_finite(wb, caplog, flow, Ha, window):
-    # each normalization of the eigenvector first scales by an exact power
-    # of two, so no norm overflows (a RuntimeWarning fails the suite) and
-    # no step lands on a = nan: the search ends on a window edge
+    # the whitened block is solved at unit scale, whose entries scale as
+    # a^-3 at large a and as a at small a, and the search starts from a
+    # midpoint whose product lo * hi cannot underflow: no solve fails, no
+    # norm overflows (a RuntimeWarning fails the suite) and no step lands
+    # on a = 0 or nan, so the search ends on a window edge
     caplog.set_level(logging.WARNING, logger="mhdes")
     pt = minimize_over_a(wb.params(flow, Ha), *window)
     assert not caplog.records

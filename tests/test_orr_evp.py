@@ -291,6 +291,32 @@ def test_curve_refuses_an_overflowing_fourth_power(wb):
             mhdes.reynolds_curve(params, [1.0, bad], N=50)
 
 
+# m tends to c a as a -> 0, where S tends to Q2 and K is linear in a, and
+# to c a^-3 as a -> inf, where S tends to a^4 Q0
+SMALL_WAVENUMBERS = [10.0**k for k in range(-300, -99)]
+LARGE_WAVENUMBERS = [10.0**k for k in range(39, 77)] + [1.15e77]
+
+
+@pytest.mark.parametrize("N", [40, 60])
+@pytest.mark.parametrize("flow", ["couette", "hartmann"])
+def test_solve_spans_the_whole_wavenumber_range(wb, flow, N):
+    # the whitened block is solved at unit scale, so m keeps its power law
+    # and the eigenvector stays finite (a RuntimeWarning fails the suite)
+    # at both ends, down to the last a whose threshold 1/m is a float
+    forms = pencil_forms(wb.params(flow, 1.0), wb.op(N),
+                         wb.sample(flow, 1.0, N), wb.maps(N))
+    for grid, power, rtol in ((SMALL_WAVENUMBERS, -1, 1e-12),
+                              (LARGE_WAVENUMBERS, 3, 1e-5)):
+        scaled = []
+        for a in grid:
+            sol = mhdes.solve_max_m(forms.at(a))
+            assert np.all(np.isfinite(sol.q)), a
+            scaled.append(sol.m * a**power)
+        np.testing.assert_allclose(scaled, scaled[0], rtol=rtol)
+    with pytest.raises(NumericalError, match="no finite positive threshold"):
+        mhdes.solve_max_m(forms.at(1e-307))
+
+
 @pytest.mark.parametrize("flow", ["couette", "hartmann"])
 def test_solution_carries_the_rescaled_field_at_vanishing_ha(wb, flow):
     # l_hat is l~ = Ha l, the injected magnetic row of q: at Ha = 1e-300 l
