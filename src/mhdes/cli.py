@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .baseflow import FLOWS, Params, profile_for
-from .critical import neutral_sweep
+from .critical import _geometric_mean, neutral_sweep
 from .errors import (ConsistencyError, MhdesError, NumericalError,
                      ParameterError, VerificationError, integer_in, numbers,
                      real_scalar, wavenumber)
@@ -218,8 +218,8 @@ def _verify_point(config, Ha, perturb_m_rel):
     params = Params(flow=config.flow, Ha=Ha, Pm=config.Pm)
     op, maps = setup(config.N)
     sample = profile_for(params, op.nodes)
-    a = 1.2 if config.a_min <= 1.2 <= config.a_max else float(
-        np.sqrt(config.a_min * config.a_max))
+    a = 1.2 if config.a_min <= 1.2 <= config.a_max else _geometric_mean(
+        config.a_min, config.a_max)
     sol = solve_max_m(assemble_pencil(params, a, op, sample, maps))
     # keep m and the eigenfield, not the solution: it holds its pencil and
     # factors, which would stay resident through the checks below

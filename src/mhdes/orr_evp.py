@@ -46,9 +46,6 @@ from .spectral import ClampedMaps, setup
 
 log = logging.getLogger(__name__)
 
-# relative shift above the top eigenvalue of B^T B for inverse iteration:
-# far above its rounding error (see solve_max_m for the gap below it)
-INVERSE_SHIFT = 1e-10
 # whether the base shear U' is even in z; B' has the other parity
 _EVEN_SHEAR = {"couette": True, "hartmann": False}
 
@@ -73,33 +70,30 @@ class EvpPencil:
 @dataclass(frozen=True, eq=False)
 class EvpSolution:
     """Largest eigenvalue m and the threshold Re_a = 1/m of a solved
-    pencil, with its eigenvector formed on first read: the modal
-    eigenvector q, the full-grid eigenfields w and l~ = Ha l, and the
-    pencil residual of the returned pair with q at unit 2-norm.  q and the
-    residual are in modal coordinates: the coefficients of the clamped
-    basis functions (1 - z^2)^2 T_j, not nodal values; q has shape (2, n),
-    its rows w and l~.  Each is computed the first time it is read and
-    kept, so a caller that reads only m or Re_a, as reynolds_curve does,
-    never pays for the eigenvector.  A solution holds its pencil and the
-    factors that the eigenvector is formed from for as long as it is kept."""
+    pencil, with its eigenvector formed on first read by one eigh of the
+    Gram matrix that the solve kept: the modal eigenvector q, the
+    full-grid eigenfields w and l~ = Ha l, and the pencil residual of the
+    returned pair with q at unit 2-norm.  q and the residual are in modal
+    coordinates: the coefficients of the clamped basis functions
+    (1 - z^2)^2 T_j, not nodal values; q has shape (2, n), its rows w and
+    l~.  Each is computed the first time it is read and kept, so a caller
+    that reads only m or Re_a, as reynolds_curve does, never pays for the
+    eigenvector.  A solution holds its pencil and the factors that the
+    eigenvector is formed from for as long as it is kept."""
 
     m: float
     Re_a: float
     # what the eigenvector stage reads: the pencil, the block Cholesky
-    # factor C, the chosen whitened block B, G = B^T B at unit scale and
-    # its top eigenvalue, and the parity halves of B's rows and columns
+    # factor C, G = B^T B at unit scale, the chosen whitened block B, and
+    # the parity halves of B's rows and columns
     _stage: tuple = field(repr=False)
 
     @cached_property
     def q(self):
         """The unit modal eigenvector of m, from G at unit scale."""
-        _, C, G, B, top, rows, cols = self._stage
+        _, C, G, B, rows, cols = self._stage
         n = G.shape[0]
-        shifted = G - (1.0 + INVERSE_SHIFT) * top * np.eye(n)
-        w = np.cos(np.arange(n))  # a fixed start vector
-        for _ in range(2):
-            w = np.linalg.solve(shifted, w)
-            w /= np.linalg.norm(w)
+        w = np.linalg.eigh(G)[1][:, -1]
         # solving with C^T keeps the residual at the level of a generalized
         # Hermitian solve; multiplying by C^-T raises it to 1.5e-9 at N = 101
         x = np.linalg.solve(C.T, np.column_stack((w, B @ w)))
@@ -225,13 +219,10 @@ def solve_max_m(pencil):
     formed the first time the solution's q, w_hat, l_hat or residual is
     read, and kept; reynolds_curve reads none of them, so its solves stop
     at the eigenvalues.  w, a unit vector of the top eigenspace of B^T B,
-    comes from two shifted inverse-iteration steps, and C^-T brings
-    w + i B w / m back.  Couette's B can still have a near-double top
-    singular value at large Ha, closer than the shift (8.3e-9 relative at
-    Ha = 50, N = 160): m is unaffected, but the eigenvector may then mix
-    the two.  The eigenvector is scaled to unit 2-norm before its rows w
-    and l~ are injected back onto the full grid, and the residual is
-    |i K q - m blockdiag(S, S) q|.
+    is the last eigenvector of one symmetric eigh of G, and C^-T brings
+    w + i B w / m back.  The eigenvector is scaled to unit 2-norm before
+    its rows w and l~ are injected back onto the full grid, and the
+    residual is |i K q - m blockdiag(S, S) q|.
 
     B scales as a at small a and as a^-3 at large a, so G = B^T B is
     formed from B scaled by the power of two 2^-e, one for both hartmann
@@ -284,7 +275,7 @@ def solve_max_m(pencil):
         raise NumericalError(f"largest eigenvalue {m:g} has no finite "
                              "positive threshold 1/m")
     return EvpSolution(m=m, Re_a=1.0 / m,
-                       _stage=(pencil, C, G, B, top, rows, cols))
+                       _stage=(pencil, C, G, B, rows, cols))
 
 
 def reynolds_curve(params, a_grid, N=60):

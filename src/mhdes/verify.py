@@ -115,11 +115,22 @@ def _gradsq(f, a, op):
                                  + a * a * np.abs(f) ** 2), axis=-1)
 
 
+def _finite(a, *values):
+    """Raise NumericalError naming a unless every entry of values is
+    finite: the in-plane components scale as 1/a, so at a tiny wavenumber
+    a field or its functionals overflow."""
+    if not all(np.all(np.isfinite(v)) for v in values):
+        raise NumericalError(f"trial field at a={a:g} overflows: its "
+                             "in-plane components scale as 1/a")
+
+
 def _complete(a, w_hat, l_hat, op):
     """TrialField of one field, or of a batch with one field per row."""
-    return TrialField(a=float(a), w_hat=w_hat, l_hat=l_hat,
-                      u_hat=(1j / a) * _ddz(w_hat, op),
-                      h_hat=(1j / a) * _ddz(l_hat, op))
+    with np.errstate(over="ignore", invalid="ignore"):
+        u_hat, h_hat = ((1j / a) * _ddz(f, op) for f in (w_hat, l_hat))
+    _finite(a, u_hat, h_hat)
+    return TrialField(a=float(a), w_hat=w_hat, l_hat=l_hat, u_hat=u_hat,
+                      h_hat=h_hat)
 
 
 def _random_clamped_fields(rng, count, a, op):
@@ -163,7 +174,8 @@ def _functionals(field, params, sample, op):
     a batch of fields with one per row (then each is an array over rows).
 
     Clenshaw-Curtis quadratures of nodal values with raw collocation
-    derivatives; raises ParameterError for a field with zero dissipation.
+    derivatives; raises NumericalError if one overflows and ParameterError
+    for a field with zero dissipation.
     In (l~, h~) = Ha (l, h) no weight carries Ha^-1: Ha Pm on the B' cross
     terms, Pm on the U' magnetic term and the magnetic energy.
     """
@@ -175,17 +187,21 @@ def _functionals(field, params, sample, op):
 
     u, wf, h, lf = field.u_hat, field.w_hat, field.h_hat, field.l_hat
     Ha, Pm = params.Ha, params.Pm
-    prod = (-ip(sample.Uprime * wf, u)
-            + Ha * Pm * (ip(sample.Bprime * lf, u) - ip(sample.Bprime * wf, h))
-            + Pm * ip(sample.Uprime * lf, h))
-    diss1 = (_gradsq(u, a, op) + _gradsq(wf, a, op) + _gradsq(h, a, op)
-             + _gradsq(lf, a, op))
+    with np.errstate(over="ignore", invalid="ignore"):
+        prod = (-ip(sample.Uprime * wf, u)
+                + Ha * Pm * (ip(sample.Bprime * lf, u)
+                             - ip(sample.Bprime * wf, h))
+                + Pm * ip(sample.Uprime * lf, h))
+        diss1 = (_gradsq(u, a, op) + _gradsq(wf, a, op) + _gradsq(h, a, op)
+                 + _gradsq(lf, a, op))
+        energy = 0.5 * (np.sum(w * (np.abs(u) ** 2 + np.abs(wf) ** 2),
+                               axis=-1)
+                        + Pm * np.sum(w * (np.abs(h) ** 2 + np.abs(lf) ** 2),
+                                      axis=-1))
+    _finite(a, prod, diss1, energy)
     if np.any(diss1 <= 0.0):
         raise ParameterError("trial field has zero dissipation; the ratio "
                              "is undefined for the zero field")
-    energy = 0.5 * (np.sum(w * (np.abs(u) ** 2 + np.abs(wf) ** 2), axis=-1)
-                    + Pm * np.sum(w * (np.abs(h) ** 2 + np.abs(lf) ** 2),
-                                  axis=-1))
     return prod, diss1, energy
 
 
@@ -308,14 +324,17 @@ def decay_check(field, params, Re, Re_E, sample, op):
 def poincare_check(field, op):
     """Check pi^2/4 * ||f||^2 <= ||grad f||^2 (1 + 1e-8) for each field
     component; the gradient includes the a^2 in-plane contribution.  A
-    field off the operator's nodes raises ConsistencyError."""
+    field off the operator's nodes raises ConsistencyError, and one whose
+    norms overflow NumericalError."""
     _check_field(field, op)
     ratios = {}
     ok = True
     for name in ("u_hat", "w_hat", "h_hat", "l_hat"):
         f = getattr(field, name)
-        n2 = float(np.sum(op.qweights * np.abs(f) ** 2))
-        g2 = float(_gradsq(f, field.a, op))
+        with np.errstate(over="ignore", invalid="ignore"):
+            n2 = float(np.sum(op.qweights * np.abs(f) ** 2))
+            g2 = float(_gradsq(f, field.a, op))
+        _finite(field.a, n2, g2)
         if n2 == 0.0:
             ratios[name] = {"ratio": math.inf, "satisfied": True}
             continue

@@ -216,9 +216,31 @@ def test_verify_refuses_a_nonpositive_claim(perturb, capsys):
 
 
 def test_verify_reports_are_deterministic():
-    one = run_cli("verify", "--ha", "1", "--n", "50").stdout
-    two = run_cli("verify", "--ha", "1", "--n", "50").stdout
-    assert one == two
+    # neutral's search steps on the solved eigenvectors, so its bytes
+    # depend on them as verify's do
+    for args in (("verify", "--ha", "1", "--n", "50"),
+                 ("neutral", "--ha", "1", "50", "--a-max", "30", "--n", "50")):
+        one = run_cli(*args).stdout
+        two = run_cli(*args).stdout
+        assert one and one == two, args
+
+
+@pytest.mark.parametrize("a_min,a_max,midpoint", [
+    ("1e-151", "1e-149", "1e-150"), ("1e-170", "1e-160", "1e-165"),
+    ("1e-146", "1e-144", None)])
+def test_verify_at_tiny_wavenumbers(a_min, a_max, midpoint):
+    # the trial fields' in-plane components grow as 1/a: where their
+    # functionals overflow, verify exits 3 with one line naming the
+    # window's midpoint, which does not underflow, and no RuntimeWarning
+    proc = run_cli("verify", "--ha", "1", "--a-min", a_min, "--a-max", a_max,
+                   "--out", os.devnull)
+    if midpoint is None:
+        assert (proc.returncode, proc.stderr) == (0, "")
+    else:
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr.startswith("mhdes: numerical failure: ")
+        assert proc.stderr.count("\n") == 1
+        assert f" a={midpoint} " in proc.stderr
 
 
 def test_config_file_with_flag_overrides(tmp_path):

@@ -8,7 +8,7 @@ import pytest
 import scipy.linalg as sla
 
 import mhdes
-from mhdes import orr_evp, spectral
+from mhdes import spectral
 from mhdes.errors import (ConsistencyError, NumericalError, ParameterError,
                           wavenumber)
 from mhdes.orr_evp import EvpPencil, _assemble, pencil_forms
@@ -94,11 +94,15 @@ def test_zero_coupling_strength_decouples_magnetic_field(wb):
 
 
 def test_solve_properties(wb):
-    for flow, Ha in (("couette", 1.0), ("hartmann", 50.0)):
-        sol = wb.solution(flow, Ha, 1.2)
+    # in the last case the velocity and magnetic sectors coincide up to
+    # the coupling Ha Pm, so the top singular value of B is near-double
+    for flow, Ha, Pm, a, tol in (("couette", 1.0, 0.1, 1.2, 1e-8),
+                                 ("hartmann", 50.0, 0.1, 1.2, 1e-8),
+                                 ("couette", 1e-6, 1.0, 20.0, 1e-11)):
+        sol = wb.solution(flow, Ha, a, Pm=Pm)
         assert sol.m > 0
         assert sol.Re_a == 1.0 / sol.m
-        assert sol.residual <= 1e-8
+        assert sol.residual <= tol
         assert sol.w_hat[0] == 0.0 and sol.w_hat[-1] == 0.0
 
 
@@ -424,8 +428,8 @@ EIGENVECTOR_READS = ("q", "w_hat", "l_hat", "residual")
 
 def eager_solve(pen):
     """(m, q, w_hat, l_hat, residual) of a pencil, every part formed at
-    once in the solver's arithmetic: the eager solve that the lazy
-    eigenvector stage replaced, without its checks, as the reference."""
+    once in the solver's arithmetic, without its checks or its scaling:
+    the eager reference of the lazy eigenvector stage."""
     K, S = pen.K, pen.S
     n = S.shape[0]
     ev, od = np.arange(0, n, 2), np.arange(1, n, 2)
@@ -445,11 +449,7 @@ def eager_solve(pen):
         blocks.append((np.linalg.eigvalsh(G)[-1], G, B, rows, cols))
     top, G, B, rows, cols = max(blocks, key=lambda b: b[0])
     m = float(np.sqrt(max(top, 0.0)))
-    shifted = G - (1.0 + orr_evp.INVERSE_SHIFT) * top * np.eye(n)
-    w = np.cos(np.arange(n))
-    for _ in range(2):
-        w = np.linalg.solve(shifted, w)
-        w /= np.linalg.norm(w)
+    w = np.linalg.eigh(G)[1][:, -1]
     x = np.linalg.solve(C.T, np.column_stack((w, B @ w)))
     q = np.zeros(2 * n, dtype=complex)
     q[cols] = x[:, 0]

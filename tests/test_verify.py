@@ -460,6 +460,29 @@ def test_fd_oracle_overflow_below_the_fourth_power_limit_is_numerical(wb):
         mhdes.fd_oracle(wb.params("couette", 1.0), 1e77)
 
 
+def test_trial_field_overflow_at_tiny_wavenumbers_is_numerical(wb):
+    # u = (i/a) w' and h = (i/a) l~' grow as 1/a: at a = 1e-160 the
+    # functionals overflow, near 1e-308 the completion itself (max |w'| is
+    # 1.54 here); each raises NumericalError naming a, with no warning
+    # (warnings are errors in this suite)
+    op = wb.op(60)
+    params, sample = wb.params("couette", 1.0), wb.sample("couette", 1.0, 60)
+    wf = (1.0 - op.nodes**2) ** 2
+    with pytest.raises(NumericalError, match="a=1e-308"):
+        mhdes.make_trial_field(1e-308, 2.0 * wf, wf, op)
+    fld = mhdes.make_trial_field(1e-160, wf, wf, op)
+    for check in (lambda: mhdes.energy_ratio(fld, params, sample, op),
+                  lambda: mhdes.decay_check(fld, params, 1.0, 2.0, sample, op),
+                  lambda: mhdes.poincare_check(fld, op),
+                  lambda: mhdes.random_trial_bound(params, 1e-160, 1.0,
+                                                   trials=4)):
+        with pytest.raises(NumericalError, match="a=1e-160"):
+            check()
+    fld = mhdes.make_trial_field(1e-145, wf, wf, op)
+    assert np.isfinite(mhdes.energy_ratio(fld, params, sample, op).ratio)
+    assert mhdes.poincare_check(fld, op).satisfied
+
+
 def test_fd_oracle_agrees_with_spectral_solver(wb):
     m_fd = mhdes.fd_oracle(wb.params("couette", 1.0), 1.2, M=300)
     m_sp = wb.solution("couette", 1.0, 1.2).m
