@@ -6,11 +6,13 @@ derivatives and quadrature on full nodal fields, and fd_oracle rebuilds
 the whole eigenproblem on a uniform grid with second-order central finite
 differences and finds its top eigenvalue by one Lanczos run per grid;
 random_trial_bound reads the solver's grid of spectral.setup but never its
-clamped maps.  Like the rest of the package it uses NumPy alone: one
-block-tridiagonal Cholesky kernel serves both the mass solves and the
-certificate of each value.  Agreement between these routes and the
-spectral solver is what the acceptance tests certify, so the two
-implementations must never be collapsed into one.
+clamped maps, and evaluates its random trials in blocks of TRIAL_BLOCK
+fields, so its memory does not grow with the trial count.  Like the rest
+of the package it uses NumPy alone: one block-tridiagonal Cholesky kernel
+serves both the mass solves and the certificate of each value.
+Agreement between these routes and the spectral solver is what the
+acceptance tests certify, so the two implementations must never be
+collapsed into one.
 """
 
 import logging
@@ -29,6 +31,7 @@ from .spectral import SpectralOperator, setup
 log = logging.getLogger(__name__)
 
 TRIAL_RTOL = 1e-6
+TRIAL_BLOCK = 200
 DECAY_SLACK = 1e-10
 POINCARE_SLACK = 1e-8
 POINCARE_BOUND = math.pi * math.pi / 4.0
@@ -139,10 +142,13 @@ def _random_clamped_fields(rng, count, a, op):
     Each field is (1 - z^2)^2 times Chebyshev series of degree op.N - 4
     with standard complex Gaussian coefficients for w and l~ = Ha l.  The
     draws are one (count, 4, N - 3) block, the same stream as drawing
-    Re w, Im w, Re l~, Im l~ field after field.  One real matrix product of
-    the block with the nodal values of (1 - z^2)^2 T_k gives Re w, Im w,
-    Re l~ and Im l~ of every field.  Returns the w and l~ coefficients (one
-    row per field) and the field batch.
+    Re w, Im w, Re l~, Im l~ field after field, so consecutive calls on one
+    generator draw the fields of one larger call.  One real matrix product
+    of the block with the nodal values of (1 - z^2)^2 T_k gives Re w, Im w,
+    Re l~ and Im l~ of every field; from two fields on, every field takes
+    the same arithmetic whatever count is, while a single field takes
+    matrix-vector products that differ in the last bits.  Returns the w
+    and l~ coefficients (one row per field) and the field batch.
     """
     x = op.nodes
     z = rng.standard_normal((count, 4, op.N - 3))
@@ -246,7 +252,12 @@ def random_trial_bound(params, a, m_claimed, trials=1000, seed=0, N=60,
     ratio exceeds m_claimed by more than a factor (1 + 1e-6) raises
     VerificationError carrying a falsification report with the offending
     field; otherwise the maximum ratio and its gap to the claim are
-    returned.  The random trials are drawn and evaluated as one batch (see
+    returned.  The random trials are drawn from one generator and evaluated
+    in blocks of TRIAL_BLOCK fields, each released once the next is
+    evaluated, so memory does not grow with trials; a falsified claim stops
+    at the block of its first offender, which is reported by its index
+    among all trials.  No block holds a single field unless trials is 1, so
+    the report has the bits of one batch of all trials (see
     _random_clamped_fields).
     """
     a = wavenumber(a, "wavenumber a")
@@ -281,15 +292,24 @@ def random_trial_bound(params, a, m_claimed, trials=1000, seed=0, N=60,
         max_ratio = max(max_ratio, ratio)
         if ratio > limit:
             raise falsified(-(k + 1), ratio, field.w_hat, field.l_hat)
-    cw, cl, fields = _random_clamped_fields(np.random.default_rng(seed),
-                                            trials, a, op)
-    prod, diss1, _ = _functionals(fields, params, sample, op)
-    ratios = prod / diss1
-    over = np.flatnonzero(ratios > limit)
-    if over.size:
-        t = int(over[0])
-        raise falsified(t, ratios[t], cw[t], cl[t])
-    max_ratio = max(max_ratio, float(np.max(ratios)))
+    rng = np.random.default_rng(seed)
+    start = 0
+    while start < trials:
+        # a block of one field takes matrix-vector arithmetic, which moves
+        # its ratio in the last bits, so a remainder of one joins the block
+        # before it
+        size = trials - start
+        if size > TRIAL_BLOCK + 1:
+            size = TRIAL_BLOCK
+        cw, cl, fields = _random_clamped_fields(rng, size, a, op)
+        prod, diss1, _ = _functionals(fields, params, sample, op)
+        ratios = prod / diss1
+        over = np.flatnonzero(ratios > limit)
+        if over.size:
+            t = int(over[0])
+            raise falsified(start + t, ratios[t], cw[t], cl[t])
+        max_ratio = max(max_ratio, float(np.max(ratios)))
+        start += size
     return {"max_ratio": max_ratio,
             "gap": m_claimed - max_ratio,
             "m_claimed": m_claimed,

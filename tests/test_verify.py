@@ -4,6 +4,7 @@ import dataclasses
 import gc
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import numpy.polynomial.chebyshev as ncheb
@@ -241,9 +242,12 @@ def test_batched_trials_match_per_field_loop(wb, flow, Ha):
         assert abs(ratios[t] - one.ratio) <= 1e-14 * scale
 
 
-def test_falsification_names_first_random_offender(wb):
+def test_falsification_names_first_random_offender(wb, monkeypatch):
     # a claim below some random ratios is falsified by the first of them,
-    # and the reported coefficients rebuild that very field
+    # and the reported coefficients rebuild that very field; at each block
+    # size the offender lies in a later block than the first, so its index
+    # is global, and at (first, first + 1) it is a one-field remainder,
+    # which joins the block before it: alone it would move in the last bits
     params, op = wb.params("couette", 1.0), wb.op(60)
     sample = wb.sample("couette", 1.0, 60)
     _, _, fields = _random_clamped_fields(np.random.default_rng(3), 200,
@@ -252,19 +256,62 @@ def test_falsification_names_first_random_offender(wb):
     ratios = prod / diss1
     claim = float(np.quantile(ratios, 0.9))
     first = int(np.flatnonzero(ratios > claim * (1.0 + TRIAL_RTOL))[0])
-    assert first > 0
-    with pytest.raises(VerificationError) as excinfo:
-        mhdes.random_trial_bound(params, 1.2, claim, trials=200, seed=3)
-    report = excinfo.value.report
-    assert report["trial_index"] == first
-    coeffs = {k: np.array([complex(re, im) for re, im in v])
-              for k, v in report["field_coefficients"].items()}
+    assert 16 <= first < verify.TRIAL_BLOCK
     env = (1.0 - op.nodes**2) ** 2
-    fld = mhdes.make_trial_field(1.2, env * ncheb.chebval(op.nodes, coeffs["w"]),
-                                 env * ncheb.chebval(op.nodes, coeffs["l"]), op)
-    ratio = mhdes.energy_ratio(fld, params, sample, op).ratio
-    assert abs(ratio - report["ratio"]) <= 1e-14 * abs(ratio)
-    json.dumps(report)
+    for block, trials in ((4, 200), (7, 200), (16, 200), (first, first + 1),
+                          (verify.TRIAL_BLOCK, 200)):
+        monkeypatch.setattr(verify, "TRIAL_BLOCK", block)
+        with pytest.raises(VerificationError) as excinfo:
+            mhdes.random_trial_bound(params, 1.2, claim, trials=trials,
+                                     seed=3)
+        report = excinfo.value.report
+        assert report["trial_index"] == first
+        assert report["ratio"] == ratios[first]
+        coeffs = {k: np.array([complex(re, im) for re, im in v])
+                  for k, v in report["field_coefficients"].items()}
+        fld = mhdes.make_trial_field(
+            1.2, env * ncheb.chebval(op.nodes, coeffs["w"]),
+            env * ncheb.chebval(op.nodes, coeffs["l"]), op)
+        ratio = mhdes.energy_ratio(fld, params, sample, op).ratio
+        assert abs(ratio - report["ratio"]) <= 1e-14 * abs(ratio)
+        json.dumps(report)
+
+
+@pytest.mark.parametrize("flow, Ha", [("couette", 1.0), ("hartmann", 10.0)])
+def test_trial_block_size_changes_no_report(wb, monkeypatch, flow, Ha):
+    # blocks are drawn from one generator and none holds a single field
+    # unless trials is 1, so every block size gives the bits of one batch
+    params, op = wb.params(flow, Ha), wb.op(60)
+    sample = wb.sample(flow, Ha, 60)
+    m = wb.solution(flow, Ha, 1.2).m
+    for trials in (1, 201, 1000):
+        _, _, fields = _random_clamped_fields(np.random.default_rng(11),
+                                              trials, 1.2, op)
+        prod, diss1, _ = _functionals(fields, params, sample, op)
+        batch = float(np.max(prod / diss1))
+        for block in (4, 7, trials + 1):
+            monkeypatch.setattr(verify, "TRIAL_BLOCK", block)
+            report = mhdes.random_trial_bound(params, 1.2, m, trials=trials,
+                                              seed=11)
+            assert report == {"max_ratio": batch, "gap": m - batch,
+                              "m_claimed": m, "trials": trials, "seed": 11}
+
+
+def test_trial_memory_does_not_grow_with_trials(wb):
+    # the trials are evaluated one block at a time, so 5000 of them need
+    # no more memory than one block does
+    params = wb.params("couette", 1.0)
+
+    def peak(trials):
+        tracemalloc.start()
+        try:
+            mhdes.random_trial_bound(params, 1.2, 1.0, trials=trials, seed=0)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    mhdes.random_trial_bound(params, 1.2, 1.0, trials=2, seed=0)
+    assert peak(5000) <= 2 * peak(verify.TRIAL_BLOCK)
 
 
 def test_verify_and_trial_bound_share_one_setup(wb, monkeypatch):
