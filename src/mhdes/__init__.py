@@ -1,9 +1,13 @@
 """Monotone energy-stability thresholds for conducting channel flows.
 
 The package computes, for plane Couette and Hartmann base states between
-perfectly conducting walls, the largest Reynolds number below which every
-disturbance energy decays monotonically.  The threshold at one spanwise
-wavenumber is the reciprocal of the largest eigenvalue of a clamped
+two walls, the largest Reynolds number below which every disturbance
+energy decays monotonically.  The disturbance magnetic field vanishes at
+the walls: the clamped basis of l~ = Ha h_z sets h_z = 0 and, as
+h_x = (i/a) h_z', h_x = 0, which is not the perfectly conducting
+condition h_z = dh_x/dz = 0.  Hartmann's base field is the
+zero-net-current state, Bbar = 0 at both walls.  The threshold at one
+spanwise wavenumber is the reciprocal of the largest eigenvalue of a clamped
 variational pencil; minimizing over wavenumber gives the global bound.
 Independent quadrature and finite-difference routes verify the spectral
 results.

@@ -71,9 +71,9 @@ class EvpPencil:
 class EvpSolution:
     """Largest eigenvalue m and the threshold Re_a = 1/m of a solved
     pencil, with its eigenvector formed on first read by one eigh of the
-    Gram matrix that the solve kept: the modal eigenvector q, the
-    full-grid eigenfields w and l~ = Ha l, and the pencil residual of the
-    returned pair with q at unit 2-norm.  q and the residual are in modal
+    Gram matrix of B / m: the modal eigenvector q, the full-grid
+    eigenfields w and l~ = Ha l, and the pencil residual of the returned
+    pair with q at unit 2-norm.  q and the residual are in modal
     coordinates: the coefficients of the clamped basis functions
     (1 - z^2)^2 T_j, not nodal values; q has shape (2, n), its rows w and
     l~.  Each is computed the first time it is read and kept, so a caller
@@ -84,22 +84,23 @@ class EvpSolution:
     m: float
     Re_a: float
     # what the eigenvector stage reads: the pencil, the block Cholesky
-    # factor C, G = B^T B at unit scale, the chosen whitened block B, and
-    # the parity halves of B's rows and columns
+    # factor C, the chosen whitened block B, and the parity halves of B's
+    # rows and columns
     _stage: tuple = field(repr=False)
 
     @cached_property
     def q(self):
-        """The unit modal eigenvector of m, from G at unit scale."""
-        _, C, G, B, rows, cols = self._stage
-        n = G.shape[0]
-        w = np.linalg.eigh(G)[1][:, -1]
+        """The unit modal eigenvector of m, from the Gram matrix of B / m."""
+        _, C, B, rows, cols = self._stage
+        n = B.shape[0]
+        B = B / self.m
+        w = np.linalg.eigh(B.T @ B)[1][:, -1]
         # solving with C^T keeps the residual at the level of a generalized
         # Hermitian solve; multiplying by C^-T raises it to 1.5e-9 at N = 101
         x = np.linalg.solve(C.T, np.column_stack((w, B @ w)))
         q = np.zeros(2 * n, dtype=complex)
         q[cols] = x[:, 0]
-        q[rows] += 1j * x[:, 1] / self.m
+        q[rows] += 1j * x[:, 1]
         q /= np.linalg.norm(q)
         # rows are the two fields
         return q.reshape(2, n)
@@ -218,16 +219,15 @@ def solve_max_m(pencil):
     Only m is solved here, with every check below.  The eigenvector is
     formed the first time the solution's q, w_hat, l_hat or residual is
     read, and kept; reynolds_curve reads none of them, so its solves stop
-    at the eigenvalues.  w, a unit vector of the top eigenspace of B^T B,
-    is the last eigenvector of one symmetric eigh of G, and C^-T brings
-    w + i B w / m back.  The eigenvector is scaled to unit 2-norm before
-    its rows w and l~ are injected back onto the full grid, and the
-    residual is |i K q - m blockdiag(S, S) q|.
+    at the singular values.  w, a unit vector of the top eigenspace of
+    B^T B, is the last eigenvector of one symmetric eigh of the Gram
+    matrix of B / m, and C^-T brings w + i B w / m back.  The eigenvector
+    is scaled to unit 2-norm before its rows w and l~ are injected back
+    onto the full grid, and the residual is |i K q - m blockdiag(S, S) q|.
 
-    B scales as a at small a and as a^-3 at large a, so G = B^T B is
-    formed from B scaled by the power of two 2^-e, one for both hartmann
-    halves so that their tops compare, that brings the largest whitened
-    entry into [0.5, 1); m = 2^e sqrt(top) is exact at both ends.
+    B scales as a at small a and as a^-3 at large a; LAPACK's SVD scales
+    a matrix whose largest entry lies outside its safe range itself, and
+    B / m has unit 2-norm, so m and q stay accurate at both ends.
 
     A pencil whose K or S is complex, whose K is not exactly
     antisymmetric or S not exactly symmetric, whose S has no Cholesky
@@ -259,23 +259,17 @@ def solve_max_m(pencil):
         raise NumericalError("K or S couples the parity halves against the "
                              "flow's parity; the split solve does not apply")
     Ci = np.linalg.inv(C)
-    halves = []
+    blocks = []
     for rows, cols in ((P1, P2),) if cross else ((P1, P1), (P2, P2)):
         B = Ci @ K[np.ix_(rows, cols)] @ Ci.T
-        halves.append((0.5 * (B - B.T) if rows is cols else B, rows, cols))
-    e = int(np.frexp(max(np.max(np.abs(B)) for B, _, _ in halves))[1])
-    blocks = []
-    for B, rows, cols in halves:
-        Bs = np.ldexp(B, -e)
-        G = Bs.T @ Bs
-        blocks.append((np.linalg.eigvalsh(G)[-1], G, B, rows, cols))
-    top, G, B, rows, cols = max(blocks, key=lambda b: b[0])  # P1 on a tie
-    m = float(np.ldexp(np.sqrt(max(top, 0.0)), e))
+        B = 0.5 * (B - B.T) if rows is cols else B
+        blocks.append((np.linalg.svd(B, compute_uv=False)[0], B, rows, cols))
+    top, B, rows, cols = max(blocks, key=lambda b: b[0])  # P1 on a tie
+    m = float(top)
     if not (m > 0 and np.isfinite(1.0 / m)):
         raise NumericalError(f"largest eigenvalue {m:g} has no finite "
                              "positive threshold 1/m")
-    return EvpSolution(m=m, Re_a=1.0 / m,
-                       _stage=(pencil, C, G, B, rows, cols))
+    return EvpSolution(m=m, Re_a=1.0 / m, _stage=(pencil, C, B, rows, cols))
 
 
 def reynolds_curve(params, a_grid, N=60):

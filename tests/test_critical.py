@@ -298,10 +298,11 @@ def test_window_refuses_an_overflowing_fourth_power(wb):
                                             ("couette", 1.0, (1e-170, 1e-160)),
                                             ("couette", 1.0, (1e76, 1.1e77))])
 def test_search_at_huge_wavenumbers_stays_finite(wb, caplog, flow, Ha, window):
-    # the whitened block is solved at unit scale, whose entries scale as
-    # a^-3 at large a and as a at small a, and the search starts from a
-    # midpoint whose product lo * hi cannot underflow: no solve fails, no
-    # norm overflows (a RuntimeWarning fails the suite) and no step lands
+    # the whitened block, whose entries scale as a^-3 at large a and as a
+    # at small a, is scaled by LAPACK's SVD itself and divided by m before
+    # its Gram matrix is formed, and the search starts from a midpoint
+    # whose product lo * hi cannot underflow: no solve fails, no norm
+    # overflows (a RuntimeWarning fails the suite) and no step lands
     # on a = 0 or nan, so the search ends on a window edge
     caplog.set_level(logging.WARNING, logger="mhdes")
     pt = minimize_over_a(wb.params(flow, Ha), *window)

@@ -304,9 +304,10 @@ LARGE_WAVENUMBERS = [10.0**k for k in range(39, 77)] + [1.15e77]
 @pytest.mark.parametrize("N", [40, 60])
 @pytest.mark.parametrize("flow", ["couette", "hartmann"])
 def test_solve_spans_the_whole_wavenumber_range(wb, flow, N):
-    # the whitened block is solved at unit scale, so m keeps its power law
-    # and the eigenvector stays finite (a RuntimeWarning fails the suite)
-    # at both ends, down to the last a whose threshold 1/m is a float
+    # LAPACK's SVD scales the whitened block itself and B / m has unit
+    # norm, so m keeps its power law and the eigenvector stays finite (a
+    # RuntimeWarning fails the suite) at both ends, down to the last a
+    # whose threshold 1/m is a float
     forms = pencil_forms(wb.params(flow, 1.0), wb.op(N),
                          wb.sample(flow, 1.0, N), wb.maps(N))
     for grid, power, rtol in ((SMALL_WAVENUMBERS, -1, 1e-12),
@@ -423,13 +424,31 @@ def test_hartmann_eigenvector_lies_in_one_parity_half(wb):
         assert min(halves) == 0 < max(halves), halves
 
 
+def test_hartmann_tie_keeps_the_first_parity_half(wb):
+    # identical antisymmetric blocks on P1 and P2, each listed with its
+    # even-parity field first, nothing between them, and S = I: both
+    # halves whiten to the same block bit for bit, and the solve keeps P1,
+    # so q is exactly zero on P2
+    n = 10
+    X = np.random.default_rng(5).standard_normal((n, n))
+    ev, od = np.arange(0, n, 2), np.arange(1, n, 2)
+    P1, P2 = np.r_[ev, n + od], np.r_[n + ev, od]
+    K = np.zeros((2 * n, 2 * n))
+    K[np.ix_(P1, P1)] = K[np.ix_(P2, P2)] = X - X.T
+    pen = EvpPencil(a=1.0, K=K, S=np.eye(n),
+                    params=wb.params("hartmann", 1.0), maps=wb.maps(13))
+    q = mhdes.solve_max_m(pen).q.ravel()
+    assert np.count_nonzero(q[P2]) == 0
+    assert np.count_nonzero(q[P1]) > 0
+
+
 EIGENVECTOR_READS = ("q", "w_hat", "l_hat", "residual")
 
 
 def eager_solve(pen):
     """(m, q, w_hat, l_hat, residual) of a pencil, every part formed at
-    once in the solver's arithmetic, without its checks or its scaling:
-    the eager reference of the lazy eigenvector stage."""
+    once in the solver's arithmetic, without its checks: the eager
+    reference of the lazy eigenvector stage."""
     K, S = pen.K, pen.S
     n = S.shape[0]
     ev, od = np.arange(0, n, 2), np.arange(1, n, 2)
@@ -445,15 +464,15 @@ def eager_solve(pen):
         B = Ci @ K[np.ix_(rows, cols)] @ Ci.T
         if rows is cols:
             B = 0.5 * (B - B.T)
-        G = B.T @ B
-        blocks.append((np.linalg.eigvalsh(G)[-1], G, B, rows, cols))
-    top, G, B, rows, cols = max(blocks, key=lambda b: b[0])
-    m = float(np.sqrt(max(top, 0.0)))
-    w = np.linalg.eigh(G)[1][:, -1]
+        blocks.append((float(np.linalg.svd(B, compute_uv=False)[0]),
+                       B, rows, cols))
+    m, B, rows, cols = max(blocks, key=lambda b: b[0])
+    B = B / m
+    w = np.linalg.eigh(B.T @ B)[1][:, -1]
     x = np.linalg.solve(C.T, np.column_stack((w, B @ w)))
     q = np.zeros(2 * n, dtype=complex)
     q[cols] = x[:, 0]
-    q[rows] += 1j * x[:, 1] / m
+    q[rows] += 1j * x[:, 1]
     q /= np.linalg.norm(q)
     qb = q.reshape(2, n)
     residual = float(np.linalg.norm(1j * (K @ q) - m * (qb @ S).ravel()))
@@ -462,13 +481,19 @@ def eager_solve(pen):
 
 @pytest.mark.parametrize("flow,Ha", [("couette", 1.0), ("hartmann", 50.0)])
 def test_threshold_curve_forms_no_eigenvector(wb, monkeypatch, flow, Ha):
-    # the curve reads Re_a alone, so with every eigenvector read made to
-    # raise it still returns the values of the full solve
+    # the curve reads Re_a alone, so with every eigenvector read and every
+    # symmetric eigensolver made to raise, it still returns the values of
+    # the full solve: its m comes from the singular values alone
     def unread(self):
         raise AssertionError("reynolds_curve formed an eigenvector")
 
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("reynolds_curve called a symmetric eigensolver")
+
     for name in EIGENVECTOR_READS:
         monkeypatch.setattr(mhdes.EvpSolution, name, property(unread))
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_eigh)
     params, grid = wb.params(flow, Ha), [0.5, 1.2, 4.2, 20.0]
     curve = mhdes.reynolds_curve(params, grid, N=60)
     op, maps = spectral.setup(60)
