@@ -155,9 +155,9 @@ def _random_clamped_fields(rng, count, a, op):
     cw = z[:, 0] + 1j * z[:, 1]
     cl = z[:, 2] + 1j * z[:, 3]
     basis = ((1.0 - x * x) ** 2)[:, None] * ncheb.chebvander(x, op.N - 4)
-    # stacked, one small product per field: flattened into one large GEMM
-    # it saves 0.4 ms but wakes NumPy's OpenBLAS worker pool, whose
-    # buffers then stay resident (+1.7 MB peak in mhdes verify)
+    # stacked, one small product per field: one large GEMM would wake
+    # NumPy's OpenBLAS worker pool here, though _ddz's complex product
+    # with the block wakes it anyway from about 20 fields
     f = z @ basis.T
     field = _complete(a, f[:, 0] + 1j * f[:, 1], f[:, 2] + 1j * f[:, 3], op)
     return cw, cl, field

@@ -468,7 +468,11 @@ def eager_solve(pen):
                        B, rows, cols))
     m, B, rows, cols = max(blocks, key=lambda b: b[0])
     B = B / m
-    w = np.linalg.eigh(B.T @ B)[1][:, -1]
+    shifted = B.T @ B - (1.0 + 2.0**-40) * np.eye(n)
+    w = np.ones(n)
+    for _ in range(2):
+        w = np.linalg.solve(shifted, w)
+        w /= np.linalg.norm(w)
     x = np.linalg.solve(C.T, np.column_stack((w, B @ w)))
     q = np.zeros(2 * n, dtype=complex)
     q[cols] = x[:, 0]
@@ -479,6 +483,23 @@ def eager_solve(pen):
     return m, qb, pen.maps.inject @ qb[0], pen.maps.inject @ qb[1], residual
 
 
+def forbid_eigensolvers(monkeypatch):
+    """Make the symmetric eigensolvers and an SVD with vectors raise."""
+    svd = np.linalg.svd
+
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("called a symmetric eigensolver")
+
+    def values_only_svd(a, full_matrices=True, compute_uv=True, **kwargs):
+        if compute_uv:
+            raise AssertionError("called an SVD with vectors")
+        return svd(a, full_matrices, compute_uv, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_eigh)
+    monkeypatch.setattr(np.linalg, "svd", values_only_svd)
+
+
 @pytest.mark.parametrize("flow,Ha", [("couette", 1.0), ("hartmann", 50.0)])
 def test_threshold_curve_forms_no_eigenvector(wb, monkeypatch, flow, Ha):
     # the curve reads Re_a alone, so with every eigenvector read and every
@@ -487,18 +508,41 @@ def test_threshold_curve_forms_no_eigenvector(wb, monkeypatch, flow, Ha):
     def unread(self):
         raise AssertionError("reynolds_curve formed an eigenvector")
 
-    def no_eigh(*args, **kwargs):
-        raise AssertionError("reynolds_curve called a symmetric eigensolver")
-
     for name in EIGENVECTOR_READS:
         monkeypatch.setattr(mhdes.EvpSolution, name, property(unread))
-    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
-    monkeypatch.setattr(np.linalg, "eigvalsh", no_eigh)
+    forbid_eigensolvers(monkeypatch)
     params, grid = wb.params(flow, Ha), [0.5, 1.2, 4.2, 20.0]
     curve = mhdes.reynolds_curve(params, grid, N=60)
     op, maps = spectral.setup(60)
     forms = pencil_forms(params, op, wb.sample(flow, Ha, 60), maps)
     assert curve == [(a, mhdes.solve_max_m(forms.at(a)).Re_a) for a in grid]
+
+
+@pytest.mark.parametrize("flow,Ha", [("couette", 1.0), ("hartmann", 50.0)])
+def test_threshold_search_calls_no_eigensolver(wb, monkeypatch, flow, Ha):
+    # the search reads q at every step, and q comes from two LU solves at
+    # the known m, so neither the search nor any eigenvector read calls a
+    # symmetric eigensolver or an SVD with vectors
+    forbid_eigensolvers(monkeypatch)
+    point = mhdes.minimize_over_a(wb.params(flow, Ha), 0.2, 30.0)
+    assert point.converged
+    sol = mhdes.solve_max_m(wb.pencil(flow, Ha, point.a_crit))
+    for name in EIGENVECTOR_READS:
+        assert np.all(np.isfinite(getattr(sol, name))), name
+
+
+@pytest.mark.parametrize("flow", ["couette", "hartmann"])
+def test_eigenvector_is_accurate_across_the_pencils(wb, flow):
+    # two shifted inverse-iteration steps give the eigenvector to the
+    # residual of a symmetric eigensolver, also at Ha = 1e-6, Pm = 1,
+    # where the top singular value of couette's B is near-double
+    for Ha, Pm, N in itertools.product((1e-6, 50.0, 300.0), (0.1, 1.0),
+                                       (40, 80)):
+        forms = pencil_forms(wb.params(flow, Ha, Pm), wb.op(N),
+                             wb.sample(flow, Ha, N), wb.maps(N))
+        for a in np.geomspace(0.2, 60.0, 4):
+            assert mhdes.solve_max_m(forms.at(a)).residual <= 2e-11, (
+                Ha, Pm, N, a)
 
 
 def test_eigenvector_reads_are_kept(wb):
