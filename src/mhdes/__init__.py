@@ -23,8 +23,8 @@ from .orr_evp import (EvpPencil, EvpSolution, assemble_pencil, reynolds_curve,
 from .spectral import (ClampedMaps, SpectralOperator, build_operator,
                        clamped_restrict)
 from .verify import (DecayReport, EnergyBreakdown, PoincareReport, TrialField,
-                     decay_check, energy_ratio, fd_oracle, make_trial_field,
-                     poincare_check, random_trial_bound)
+                     check_claim, decay_check, energy_ratio, fd_oracle,
+                     make_trial_field, poincare_check, random_trial_bound)
 
 __version__ = "0.1.0"
 
@@ -63,4 +63,5 @@ __all__ = [
     "decay_check",
     "poincare_check",
     "fd_oracle",
+    "check_claim",
 ]

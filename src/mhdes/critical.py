@@ -40,7 +40,7 @@ class NeutralPoint:
     converged: bool
 
 
-def _geometric_mean(lo, hi):
+def geometric_mean(lo, hi):
     """sqrt(lo * hi) of two positive floats, with each first scaled by the
     same power of two so that the product neither underflows nor
     overflows.  The scaling is exact: where lo * hi is a normal float,
@@ -76,7 +76,7 @@ def minimize_over_a(params, a_min=0.2, a_max=4.0, N=60):
     # secant steps on h(a) = log T(a) - log a in log a, or T itself where
     # there is no secant or its point leaves the window; clamped in a, so
     # a step onto an edge lands on it exactly
-    a, last = _geometric_mean(a_min, a_max), None
+    a, last = geometric_mean(a_min, a_max), None
     while True:
         try:
             sol = solve_max_m(forms.at(a))

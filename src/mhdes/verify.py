@@ -2,17 +2,14 @@
 
 Everything here deliberately avoids the clamped Galerkin machinery used by
 the pencil assembly: energy functionals are evaluated by raw collocation
-derivatives and quadrature on full nodal fields, and fd_oracle rebuilds
-the whole eigenproblem on a uniform grid with second-order central finite
-differences and finds its top eigenvalue by one Lanczos run per grid;
-random_trial_bound reads the solver's grid of spectral.setup but never its
-clamped maps, and evaluates its random trials in blocks of TRIAL_BLOCK
-fields, so its memory does not grow with the trial count.  Like the rest
-of the package it uses NumPy alone: one block-tridiagonal Cholesky kernel
-serves both the mass solves and the certificate of each value.
-Agreement between these routes and the spectral solver is what the
-acceptance tests certify, so the two implementations must never be
-collapsed into one.
+derivatives and quadrature on full nodal fields, and fd_oracle rebuilds the
+whole eigenproblem on a uniform grid with second-order central finite
+differences, finds its top eigenvalue by one Lanczos run per grid and
+certifies it by one block-tridiagonal Cholesky factorization.  No solver
+module is imported, and NumPy alone is used.  check_claim runs every check of
+one claimed maximum, as mhdes verify reports it.  Agreement between these
+routes and the spectral solver is what the acceptance tests certify, so the
+two implementations must never be collapsed into one.
 """
 
 import logging
@@ -31,6 +28,9 @@ from .spectral import SpectralOperator, setup
 log = logging.getLogger(__name__)
 
 TRIAL_RTOL = 1e-6
+RATIO_IDENT_RTOL = 1e-8
+VERIFY_DECAY_FIELDS = 10
+VERIFY_FD_RTOL = 5e-3
 TRIAL_BLOCK = 200
 DECAY_SLACK = 1e-10
 POINCARE_SLACK = 1e-8
@@ -231,11 +231,6 @@ def energy_ratio(field, params, sample, op, Re=None):
                            E=energy, dEdt=dEdt)
 
 
-def _serialize_pair(cw, cl):
-    return {"w": [[float(c.real), float(c.imag)] for c in cw],
-            "l": [[float(c.real), float(c.imag)] for c in cl]}
-
-
 def random_trial_bound(params, a, m_claimed, trials=1000, seed=0, N=60,
                        inject=()):
     """Stress the claimed maximum ratio with seeded random clamped fields.
@@ -277,7 +272,9 @@ def random_trial_bound(params, a, m_claimed, trials=1000, seed=0, N=60,
             "trial_index": int(index),
             "ratio": float(ratio),
             "m_claimed": m_claimed,
-            "field_coefficients": _serialize_pair(cw, cl),
+            "field_coefficients": {
+                "w": [[float(c.real), float(c.imag)] for c in cw],
+                "l": [[float(c.real), float(c.imag)] for c in cl]},
         }
         return VerificationError(
             f"trial {index} reached ratio {ratio:.6e} above the claimed "
@@ -608,3 +605,50 @@ def fd_oracle(params, a, M=300):
     m1 = _fd_max_m(params, a, M)
     m2 = _fd_max_m(params, a, 2 * M)
     return m2 + (m2 - m1) / 3.0
+
+
+def check_claim(field, params, m, m_claimed, seed, sample, op):
+    """mhdes verify's checks of the claim m_claimed for the eigenfield field
+    of ratio m, solved on op of spectral.setup with sample on its nodes, by
+    name in report order, each with a "passed" flag.  The trials draw from
+    seed, the decay fields from seed + 1.  Failed checks are not raised."""
+    m = positive_scalar(m, "m")
+    m_claimed = positive_scalar(m_claimed, "m_claimed")
+    seed = integer_in(seed, "seed", 0)
+
+    # energy_ratio checks the field before its wavenumber is read
+    br = energy_ratio(field, params, sample, op)
+    a = field.a
+    dev = abs(br.ratio - m_claimed) / m_claimed
+    checks = {"ratio_identity": {"passed": bool(dev <= RATIO_IDENT_RTOL),
+                                 "rel_dev": dev}}
+
+    # the solved eigenvector rides along as trial -1, so an understated
+    # claim is falsified by the maximizer itself
+    try:
+        rep = random_trial_bound(params, a, m_claimed, seed=seed, N=op.N,
+                                 inject=(field,))
+        checks["random_trial_bound"] = {"passed": True, **rep}
+    except VerificationError as exc:
+        checks["random_trial_bound"] = {"passed": False, "report": exc.report}
+
+    Re_E_a = 1.0 / m
+    dc = decay_check(field, params, 0.5 * Re_E_a, Re_E_a, sample, op)
+    _, _, fields = _random_clamped_fields(
+        np.random.default_rng(seed + 1), VERIFY_DECAY_FIELDS, a, op)
+    dEdt, bound = _decay_terms(fields, params, 0.5 * Re_E_a, Re_E_a, sample,
+                               op)
+    ok_decay = (dc.satisfied and dc.dEdt < 0
+                and bool(np.all((dEdt <= bound) & (dEdt < 0))))
+    checks["decay_below_threshold"] = {"passed": bool(ok_decay),
+                                       "eig_margin": dc.margin}
+
+    pc = poincare_check(field, op)
+    checks["poincare"] = {"passed": bool(pc.satisfied),
+                          "ratios": {k: v["ratio"] for k, v in pc.ratios.items()}}
+
+    m_fd = fd_oracle(params, a)
+    rel = abs(m_fd - m) / m
+    checks["fd_oracle"] = {"passed": bool(rel <= VERIFY_FD_RTOL),
+                           "m_fd": m_fd, "m_spectral": m, "rel_dev": rel}
+    return checks

@@ -169,14 +169,14 @@ def test_verify_default_configuration_passes(tmp_path):
 def test_verify_runs_each_point_to_its_fd_oracle(monkeypatch, capsys):
     # one pass per point: its solve, its spectral-side checks, its FD oracle
     calls = []
-    for name in ("solve_max_m", "fd_oracle"):
-        func = getattr(cli, name)
+    for module, name in ((cli, "solve_max_m"), (verify, "fd_oracle")):
+        func = getattr(module, name)
 
         def recorded(*args, func=func, name=name, **kwargs):
             calls.append(name)
             return func(*args, **kwargs)
 
-        monkeypatch.setattr(cli, name, recorded)
+        monkeypatch.setattr(module, name, recorded)
     assert cli.main(["verify", "--ha", "0.5", "2", "--n", "30"]) == 0
     assert calls == ["solve_max_m", "fd_oracle"] * 2
     report = json.loads(capsys.readouterr().out)

@@ -1,5 +1,6 @@
 """Independent energy functionals, decay certificates, and the FD oracle."""
 
+import ast
 import dataclasses
 import gc
 import json
@@ -683,3 +684,69 @@ def test_fd_cholesky_certifies_shift_above_top_eigenvalue(wb, flow, Ha):
     Lb, Sb = verify._fd_matrices(params, 1.2, 200)
     assert verify._fd_factor(Lb, Sb, 1.001 * m) is not None
     assert verify._fd_factor(Lb, Sb, 0.999 * m) is None
+
+
+CLAIM_KEYS = ["ratio_identity", "random_trial_bound", "decay_below_threshold",
+              "poincare", "fd_oracle"]
+
+
+def solved_claim(flow, Ha, a=1.2, N=40):
+    """The eigenfield and m of one solve, on the operator of setup, as
+    mhdes verify forms them."""
+    params = mhdes.Params(flow=flow, Ha=Ha, Pm=0.1)
+    op, maps = spectral.setup(N)
+    sample = mhdes.profile_for(params, op.nodes)
+    sol = mhdes.solve_max_m(mhdes.assemble_pencil(params, a, op, sample,
+                                                  maps))
+    field = mhdes.make_trial_field(a, sol.w_hat, sol.l_hat, op)
+    return field, params, sol.m, sample, op
+
+
+@pytest.mark.parametrize("flow,Ha", [("couette", 1.0), ("hartmann", 10.0)])
+def test_check_claim_is_the_report_of_mhdes_verify(flow, Ha, capsys):
+    field, params, m, sample, op = solved_claim(flow, Ha)
+    checks = mhdes.check_claim(field, params, m, m, 42, sample, op)
+    assert list(checks) == CLAIM_KEYS
+    assert all(c["passed"] for c in checks.values())
+    assert cli.main(["verify", "--flow", flow, "--ha", str(Ha), "--n", "40",
+                     "--seed", "42"]) == 0
+    point, = json.loads(capsys.readouterr().out)["points"]
+    assert point["a"] == 1.2 and point["m"] == m
+    assert checks == point["checks"]
+
+
+@pytest.mark.parametrize("flow,Ha", [("couette", 1.0), ("hartmann", 10.0)])
+def test_check_claim_catches_an_understated_claim(flow, Ha):
+    field, params, m, sample, op = solved_claim(flow, Ha)
+    checks = mhdes.check_claim(field, params, m, m * (1.0 - 1e-3), 42, sample,
+                               op)
+    assert list(checks) == CLAIM_KEYS
+    assert [k for k, c in checks.items() if not c["passed"]] == [
+        "ratio_identity", "random_trial_bound"]
+    assert checks["random_trial_bound"]["report"]["trial_index"] == -1
+
+
+@pytest.mark.parametrize("name,m_claimed,seed", [
+    ("m_claimed", 0.0, 42), ("m_claimed", np.nan, 42), ("seed", 1.0, -1)])
+def test_check_claim_refuses_a_bad_claim_or_seed(name, m_claimed, seed):
+    field, params, m, sample, op = solved_claim("couette", 1.0)
+    with pytest.raises(ParameterError, match=name):
+        mhdes.check_claim(field, params, m, m_claimed, seed, sample, op)
+
+
+def test_no_module_imports_another_modules_private_names():
+    # verify is the independent route: it shares the grid and the base
+    # flow with the solver, never the solver itself
+    src = os.path.dirname(os.path.abspath(mhdes.__file__))
+    for name in sorted(os.listdir(src)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(src, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                private = [a.name for a in node.names
+                           if a.name.startswith("_")]
+                assert not private, (name, node.module, private)
+                if name == "verify.py":
+                    assert node.module not in ("orr_evp", "critical", "cli")
