@@ -2,11 +2,14 @@
 
 Everything here deliberately avoids the clamped Galerkin machinery used by
 the pencil assembly: energy functionals are evaluated by raw collocation
-derivatives and quadrature on full nodal fields, and fd_oracle rebuilds the
-whole eigenproblem on a uniform grid with second-order central finite
-differences, finds its top eigenvalue by one Lanczos run per grid and
-certifies it by one block-tridiagonal Cholesky factorization.  No solver
-module is imported, and NumPy alone is used.  check_claim runs every check of
+derivatives and Clenshaw-Curtis quadrature, on full nodal fields for a given
+field and, for the seeded random fields, as the same quadrature regrouped
+into real quadratic forms on their Gaussian coefficients, so no random field
+is ever formed on the nodes.  fd_oracle rebuilds the whole eigenproblem on a
+uniform grid with second-order central finite differences, finds its top
+eigenvalue by one Lanczos run per grid and certifies it by one
+block-tridiagonal Cholesky factorization.  No solver module is imported, no
+clamped map is read, and NumPy alone is used.  check_claim runs every check of
 one claimed maximum, as mhdes verify reports it.  Agreement between these
 routes and the spectral solver is what the acceptance tests certify, so the
 two implementations must never be collapsed into one.
@@ -48,8 +51,7 @@ class TrialField:
     """One spanwise Fourier mode of a kinematically admissible disturbance:
     wall-normal velocity w_hat and rescaled magnetic field l_hat = Ha l,
     as solve_max_m returns them, with their in-plane companions
-    u_hat = (i/a) w_hat' and h_hat = (i/a) l_hat'.  The batched random
-    trials hold one such field per row of each array."""
+    u_hat = (i/a) w_hat' and h_hat = (i/a) l_hat'."""
 
     a: float
     w_hat: np.ndarray
@@ -106,16 +108,15 @@ def make_trial_field(a, w_hat, l_hat, op):
 
 
 def _ddz(f, op):
-    """Collocation derivative of one field or of each row of a batch; a
-    single field keeps the arithmetic of the matrix-vector product."""
-    return (op.D1 @ f.T).T
+    """Collocation derivative of one nodal field."""
+    return op.D1 @ f
 
 
 def _gradsq(f, a, op):
-    """Quadrature of |f'|^2 + a^2 |f|^2 for one field or each row of a
-    batch, with the raw collocation derivative."""
+    """Quadrature of |f'|^2 + a^2 |f|^2 with the raw collocation
+    derivative."""
     return np.sum(op.qweights * (np.abs(_ddz(f, op)) ** 2
-                                 + a * a * np.abs(f) ** 2), axis=-1)
+                                 + a * a * np.abs(f) ** 2))
 
 
 def _finite(a, *values):
@@ -128,7 +129,7 @@ def _finite(a, *values):
 
 
 def _complete(a, w_hat, l_hat, op):
-    """TrialField of one field, or of a batch with one field per row."""
+    """TrialField of one field from its wall-normal components."""
     with np.errstate(over="ignore", invalid="ignore"):
         u_hat, h_hat = ((1j / a) * _ddz(f, op) for f in (w_hat, l_hat))
     _finite(a, u_hat, h_hat)
@@ -136,31 +137,69 @@ def _complete(a, w_hat, l_hat, op):
                       h_hat=h_hat)
 
 
-def _random_clamped_fields(rng, count, a, op):
-    """count seeded random clamped fields as one batched TrialField.
+def _random_coefficients(rng, count, op):
+    """count seeded random clamped fields by their coefficients.
 
     Each field is (1 - z^2)^2 times Chebyshev series of degree op.N - 4
     with standard complex Gaussian coefficients for w and l~ = Ha l.  The
-    draws are one (count, 4, N - 3) block, the same stream as drawing
-    Re w, Im w, Re l~, Im l~ field after field, so consecutive calls on one
-    generator draw the fields of one larger call.  One real matrix product
-    of the block with the nodal values of (1 - z^2)^2 T_k gives Re w, Im w,
-    Re l~ and Im l~ of every field; from two fields on, every field takes
-    the same arithmetic whatever count is, while a single field takes
-    matrix-vector products that differ in the last bits.  Returns the w
-    and l~ coefficients (one row per field) and the field batch.
+    draws are one (count, 4, N - 3) block z whose rows are the coefficients
+    of Re w, Im w, Re l~ and Im l~, the same stream as drawing them field
+    after field, so consecutive calls on one generator draw the fields of
+    one larger call.
     """
-    x = op.nodes
-    z = rng.standard_normal((count, 4, op.N - 3))
-    cw = z[:, 0] + 1j * z[:, 1]
-    cl = z[:, 2] + 1j * z[:, 3]
-    basis = ((1.0 - x * x) ** 2)[:, None] * ncheb.chebvander(x, op.N - 4)
-    # stacked, one small product per field: one large GEMM would wake
-    # NumPy's OpenBLAS worker pool here, though _ddz's complex product
-    # with the block wakes it anyway from about 20 fields
-    f = z @ basis.T
-    field = _complete(a, f[:, 0] + 1j * f[:, 1], f[:, 2] + 1j * f[:, 3], op)
-    return cw, cl, field
+    return rng.standard_normal((count, 4, op.N - 3))
+
+
+def _trial_forms(params, a, sample, op):
+    """Production I and primary dissipation D1 of the random clamped fields
+    at wavenumber a as real quadratic forms on their coefficients z (see
+    _random_coefficients).
+
+    With Phi the nodal values of (1 - z^2)^2 T_k, k <= N - 4, Phi1 =
+    D1 Phi, Phi2 = D1 Phi1 and G(f, g, v) = f^T diag(q v) g for the
+    Clenshaw-Curtis weights q, the dissipation is the sum over the four
+    rows z_r of z_r^T D z_r, with D = G(Phi2, Phi2, 1) / a^2
+    + 2 G(Phi1, Phi1, 1) + a^2 G(Phi, Phi, 1), and the production is
+    I = (1/a) (-x_w^T A y_w + Pm x_l^T A y_l + Ha Pm (x_w^T S y_l
+    - y_w^T S x_l)), with x and y the real and imaginary rows, A =
+    G(Phi1, Phi, U') - its transpose and S = G(Phi1, Phi, B') + its
+    transpose: the quadrature and derivative of _functionals on
+    u = (i/a) w' and h = (i/a) l~', regrouped.  Returns the evaluation of
+    (I, D1) over the fields of a block z, which raises NumericalError if
+    one overflows.  Every product of the evaluation is stacked, one
+    (4, N - 3) row block per field, or elementwise, so each field takes the
+    same arithmetic in any block, and no block is one product large enough
+    to wake a BLAS worker thread.
+    """
+    x, q, n = op.nodes, op.qweights, op.N - 3
+    phi = ((1.0 - x * x) ** 2)[:, None] * ncheb.chebvander(x, op.N - 4)
+    phi1 = op.D1 @ phi
+    phi2 = op.D1 @ phi1
+
+    def gram(f, g, v):
+        return (f * v[:, None]).T @ g
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        diss = (gram(phi2, phi2, q) / (a * a) + 2.0 * gram(phi1, phi1, q)
+                + (a * a) * gram(phi, phi, q))
+        cu = gram(phi1, phi, q * sample.Uprime)
+        cb = gram(phi1, phi, q * sample.Bprime)
+        forms = np.hstack([diss, (cu - cu.T) / a,
+                           (params.Ha * params.Pm / a) * (cb + cb.T)])
+
+    def evaluate(z):
+        with np.errstate(over="ignore", invalid="ignore"):
+            p = z @ forms
+            diss1 = np.sum(np.sum(p[..., :n] * z, axis=-1), axis=-1)
+            zu, zb = p[..., n:2 * n], p[..., 2 * n:]
+            prod = (np.sum(params.Pm * zu[:, 2] * z[:, 3]
+                           - zu[:, 0] * z[:, 1], axis=-1)
+                    + np.sum(zb[:, 0] * z[:, 3] - zb[:, 1] * z[:, 2],
+                             axis=-1))
+        _finite(a, prod, diss1)
+        return prod, diss1
+
+    return evaluate
 
 
 def _check_nodes(op, *arrays):
@@ -176,8 +215,7 @@ def _check_field(field, op):
 
 
 def _functionals(field, params, sample, op):
-    """Production I, primary dissipation D1 and energy E of a field, or of
-    a batch of fields with one per row (then each is an array over rows).
+    """Production I, primary dissipation D1 and energy E of one field.
 
     Clenshaw-Curtis quadratures of nodal values with raw collocation
     derivatives; raises NumericalError if one overflows and ParameterError
@@ -189,7 +227,7 @@ def _functionals(field, params, sample, op):
     w = op.qweights
 
     def ip(f, g):
-        return np.real(np.sum(w * f * np.conj(g), axis=-1))
+        return np.real(np.sum(w * f * np.conj(g)))
 
     u, wf, h, lf = field.u_hat, field.w_hat, field.h_hat, field.l_hat
     Ha, Pm = params.Ha, params.Pm
@@ -200,12 +238,10 @@ def _functionals(field, params, sample, op):
                 + Pm * ip(sample.Uprime * lf, h))
         diss1 = (_gradsq(u, a, op) + _gradsq(wf, a, op) + _gradsq(h, a, op)
                  + _gradsq(lf, a, op))
-        energy = 0.5 * (np.sum(w * (np.abs(u) ** 2 + np.abs(wf) ** 2),
-                               axis=-1)
-                        + Pm * np.sum(w * (np.abs(h) ** 2 + np.abs(lf) ** 2),
-                                      axis=-1))
+        energy = 0.5 * (np.sum(w * (np.abs(u) ** 2 + np.abs(wf) ** 2))
+                        + Pm * np.sum(w * (np.abs(h) ** 2 + np.abs(lf) ** 2)))
     _finite(a, prod, diss1, energy)
-    if np.any(diss1 <= 0.0):
+    if diss1 <= 0.0:
         raise ParameterError("trial field has zero dissipation; the ratio "
                              "is undefined for the zero field")
     return prod, diss1, energy
@@ -248,12 +284,12 @@ def random_trial_bound(params, a, m_claimed, trials=1000, seed=0, N=60,
     VerificationError carrying a falsification report with the offending
     field; otherwise the maximum ratio and its gap to the claim are
     returned.  The random trials are drawn from one generator and evaluated
-    in blocks of TRIAL_BLOCK fields, each released once the next is
-    evaluated, so memory does not grow with trials; a falsified claim stops
-    at the block of its first offender, which is reported by its index
-    among all trials.  No block holds a single field unless trials is 1, so
-    the report has the bits of one batch of all trials (see
-    _random_clamped_fields).
+    by the quadratic forms of _trial_forms in blocks of TRIAL_BLOCK fields,
+    each released once the next is evaluated, so memory does not grow with
+    trials; a falsified claim stops at the block of its first offender,
+    which is reported by its index among all trials.  Each field takes the
+    same arithmetic in any block, so the report has the bits of one batch
+    of all trials.
     """
     a = wavenumber(a, "wavenumber a")
     m_claimed = positive_scalar(m_claimed, "m_claimed")
@@ -289,22 +325,19 @@ def random_trial_bound(params, a, m_claimed, trials=1000, seed=0, N=60,
         max_ratio = max(max_ratio, ratio)
         if ratio > limit:
             raise falsified(-(k + 1), ratio, field.w_hat, field.l_hat)
+    evaluate = _trial_forms(params, a, sample, op)
     rng = np.random.default_rng(seed)
     start = 0
     while start < trials:
-        # a block of one field takes matrix-vector arithmetic, which moves
-        # its ratio in the last bits, so a remainder of one joins the block
-        # before it
-        size = trials - start
-        if size > TRIAL_BLOCK + 1:
-            size = TRIAL_BLOCK
-        cw, cl, fields = _random_clamped_fields(rng, size, a, op)
-        prod, diss1, _ = _functionals(fields, params, sample, op)
+        size = min(TRIAL_BLOCK, trials - start)
+        z = _random_coefficients(rng, size, op)
+        prod, diss1 = evaluate(z)
         ratios = prod / diss1
         over = np.flatnonzero(ratios > limit)
         if over.size:
             t = int(over[0])
-            raise falsified(start + t, ratios[t], cw[t], cl[t])
+            raise falsified(start + t, ratios[t], z[t, 0] + 1j * z[t, 1],
+                            z[t, 2] + 1j * z[t, 3])
         max_ratio = max(max_ratio, float(np.max(ratios)))
         start += size
     return {"max_ratio": max_ratio,
@@ -314,12 +347,9 @@ def random_trial_bound(params, a, m_claimed, trials=1000, seed=0, N=60,
             "seed": seed}
 
 
-def _decay_terms(field, params, Re, Re_E, sample, op):
-    """dEdt and the decay bound (1/Re_E - 1/Re) D + 1e-10 |D| of a field,
-    or of a batch of fields (then arrays over rows)."""
-    Re_E = positive_scalar(Re_E, "Re_E")
-    Re = positive_scalar(Re, "Re")
-    prod, diss, _ = _functionals(field, params, sample, op)
+def _decay_terms(prod, diss, Re, Re_E):
+    """dEdt and the decay bound (1/Re_E - 1/Re) D + 1e-10 |D| of the
+    production and dissipation of one field, or of arrays of them."""
     dEdt = prod - diss / Re
     bound = (1.0 / Re_E - 1.0 / Re) * diss + DECAY_SLACK * np.abs(diss)
     return dEdt, bound
@@ -332,8 +362,10 @@ def decay_check(field, params, Re, Re_E, sample, op):
     certificate holds)."""
     check_sample(sample, params, op)
     _check_field(field, op)
-    dEdt, bound = (float(v) for v in
-                   _decay_terms(field, params, Re, Re_E, sample, op))
+    Re_E = positive_scalar(Re_E, "Re_E")
+    Re = positive_scalar(Re, "Re")
+    prod, diss, _ = _functionals(field, params, sample, op)
+    dEdt, bound = (float(v) for v in _decay_terms(prod, diss, Re, Re_E))
     return DecayReport(dEdt=dEdt, bound=bound, margin=bound - dEdt,
                        satisfied=dEdt <= bound)
 
@@ -568,9 +600,13 @@ def _fd_max_m(params, a, M):
             lv = _band_matvec(Lb, V[j])
             T[j, j] = np.vdot(V[j], lv).real
             w = mass_solve(lv)
-            # classical Gram-Schmidt twice against the whole basis
+            # classical Gram-Schmidt twice against the whole basis, by
+            # elementwise products and sums: as matrix-vector products they
+            # are too small to gain from a second thread, yet wake NumPy's
+            # BLAS worker pool
             for _ in range(2):
-                w -= (MV[:j + 1] @ w.conj()).conj() @ V[:j + 1]
+                c = np.einsum("ij,j->i", MV[:j + 1], w.conj()).conj()
+                w -= np.einsum("i,ij->j", c, V[:j + 1])
             mw = mass(w)
             norm = math.sqrt(np.vdot(w, mw).real)
             theta, s = np.linalg.eigh(T[:j + 1, :j + 1])
@@ -579,7 +615,7 @@ def _fd_max_m(params, a, M):
         else:
             raise NumericalError(f"FD Lanczos at M={M} did not converge in "
                                  f"{steps} steps")
-    q = s[:, -1] @ V[:j + 1]
+    q = np.einsum("i,ij->j", s[:, -1], V[:j + 1])
     m = (float(np.vdot(q, _band_matvec(Lb, q)).real)
          / float(np.vdot(q, mass(q)).real))
     if _fd_factor(Lb, Sb, FD_SHIFT * m) is None:
@@ -634,10 +670,10 @@ def check_claim(field, params, m, m_claimed, seed, sample, op):
 
     Re_E_a = 1.0 / m
     dc = decay_check(field, params, 0.5 * Re_E_a, Re_E_a, sample, op)
-    _, _, fields = _random_clamped_fields(
-        np.random.default_rng(seed + 1), VERIFY_DECAY_FIELDS, a, op)
-    dEdt, bound = _decay_terms(fields, params, 0.5 * Re_E_a, Re_E_a, sample,
-                               op)
+    z = _random_coefficients(np.random.default_rng(seed + 1),
+                             VERIFY_DECAY_FIELDS, op)
+    dEdt, bound = _decay_terms(*_trial_forms(params, a, sample, op)(z),
+                               0.5 * Re_E_a, Re_E_a)
     ok_decay = (dc.satisfied and dc.dEdt < 0
                 and bool(np.all((dEdt <= bound) & (dEdt < 0))))
     checks["decay_below_threshold"] = {"passed": bool(ok_decay),

@@ -17,8 +17,8 @@ import mhdes
 from mhdes import cli, spectral, verify
 from mhdes.errors import (ConsistencyError, NumericalError, ParameterError,
                           VerificationError)
-from mhdes.verify import (POINCARE_BOUND, TRIAL_RTOL, _fd_max_m, _functionals,
-                          _random_clamped_fields)
+from mhdes.verify import (POINCARE_BOUND, TRIAL_RTOL, _fd_max_m,
+                          _random_coefficients, _trial_forms)
 
 # closed-form functional values for polynomial trial fields (exact integrals
 # of the envelope (1-z^2)^2 against the wall-driven base state at Ha = 1),
@@ -214,32 +214,37 @@ def test_magnetic_sector_field_stays_below_small_hartmann_claim(wb):
     assert abs(mhdes.fd_oracle(params, a, M=300) - sol.m) <= 5e-3 * sol.m
 
 
+def clamped_field(a, coeffs, op):
+    """The nodal trial field of one (4, N - 3) coefficient block, summed by
+    Clenshaw's recurrence."""
+    env = (1.0 - op.nodes**2) ** 2
+    return mhdes.make_trial_field(
+        a, env * ncheb.chebval(op.nodes, coeffs[0] + 1j * coeffs[1]),
+        env * ncheb.chebval(op.nodes, coeffs[2] + 1j * coeffs[3]), op)
+
+
+def form_ratios(params, a, sample, op, z):
+    prod, diss1 = _trial_forms(params, a, sample, op)(z)
+    return prod / diss1
+
+
 @pytest.mark.parametrize("flow, Ha", [("couette", 1.0), ("hartmann", 10.0)])
 def test_batched_trials_match_per_field_loop(wb, flow, Ha):
-    # the batch draws the per-field stream bit for bit, evaluates the same
-    # fields to rounding (it sums the series by one matrix product, not by
-    # Clenshaw), and its ratios are those of energy_ratio field by field
+    # the block draws the per-field stream bit for bit, and the quadratic
+    # forms give the ratios of energy_ratio on each field's nodal values
     params, op = wb.params(flow, Ha), wb.op(60)
     sample = wb.sample(flow, Ha, 60)
-    cw, cl, fields = _random_clamped_fields(np.random.default_rng(7), 50,
-                                            1.2, op)
-    prod, diss1, _ = _functionals(fields, params, sample, op)
-    ratios = prod / diss1
+    z = _random_coefficients(np.random.default_rng(7), 50, op)
+    ratios = form_ratios(params, 1.2, sample, op, z)
     # a ratio near zero is a cancellation in I, whose rounding scales with
-    # the batch's larger ratios, not with its own size
+    # the block's larger ratios, not with its own size
     scale = np.max(np.abs(ratios))
     rng = np.random.default_rng(7)
-    env = (1.0 - op.nodes**2) ** 2
     for t in range(50):
-        w_coef = rng.standard_normal(57) + 1j * rng.standard_normal(57)
-        l_coef = rng.standard_normal(57) + 1j * rng.standard_normal(57)
-        assert np.array_equal(cw[t], w_coef) and np.array_equal(cl[t], l_coef)
-        wf = env * ncheb.chebval(op.nodes, w_coef)
-        lf = env * ncheb.chebval(op.nodes, l_coef)
-        for got, ref in ((fields.w_hat[t], wf), (fields.l_hat[t], lf)):
-            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
-        one = mhdes.energy_ratio(mhdes.make_trial_field(1.2, wf, lf, op),
-                                 params, sample, op)
+        assert all(np.array_equal(z[t, k], rng.standard_normal(57))
+                   for k in range(4))
+        one = mhdes.energy_ratio(clamped_field(1.2, z[t], op), params,
+                                 sample, op)
         assert abs(ratios[t] - one.ratio) <= 1e-14 * scale
 
 
@@ -248,17 +253,14 @@ def test_falsification_names_first_random_offender(wb, monkeypatch):
     # and the reported coefficients rebuild that very field; at each block
     # size the offender lies in a later block than the first, so its index
     # is global, and at (first, first + 1) it is a one-field remainder,
-    # which joins the block before it: alone it would move in the last bits
+    # evaluated alone with the bits it has in a block
     params, op = wb.params("couette", 1.0), wb.op(60)
     sample = wb.sample("couette", 1.0, 60)
-    _, _, fields = _random_clamped_fields(np.random.default_rng(3), 200,
-                                          1.2, op)
-    prod, diss1, _ = _functionals(fields, params, sample, op)
-    ratios = prod / diss1
+    ratios = form_ratios(params, 1.2, sample, op, _random_coefficients(
+        np.random.default_rng(3), 200, op))
     claim = float(np.quantile(ratios, 0.9))
     first = int(np.flatnonzero(ratios > claim * (1.0 + TRIAL_RTOL))[0])
     assert 16 <= first < verify.TRIAL_BLOCK
-    env = (1.0 - op.nodes**2) ** 2
     for block, trials in ((4, 200), (7, 200), (16, 200), (first, first + 1),
                           (verify.TRIAL_BLOCK, 200)):
         monkeypatch.setattr(verify, "TRIAL_BLOCK", block)
@@ -268,34 +270,81 @@ def test_falsification_names_first_random_offender(wb, monkeypatch):
         report = excinfo.value.report
         assert report["trial_index"] == first
         assert report["ratio"] == ratios[first]
-        coeffs = {k: np.array([complex(re, im) for re, im in v])
-                  for k, v in report["field_coefficients"].items()}
-        fld = mhdes.make_trial_field(
-            1.2, env * ncheb.chebval(op.nodes, coeffs["w"]),
-            env * ncheb.chebval(op.nodes, coeffs["l"]), op)
-        ratio = mhdes.energy_ratio(fld, params, sample, op).ratio
+        w, l = (np.array([complex(re, im) for re, im in
+                          report["field_coefficients"][k]]) for k in "wl")
+        coeffs = np.array([w.real, w.imag, l.real, l.imag])
+        ratio = mhdes.energy_ratio(clamped_field(1.2, coeffs, op), params,
+                                   sample, op).ratio
         assert abs(ratio - report["ratio"]) <= 1e-14 * abs(ratio)
         json.dumps(report)
 
 
 @pytest.mark.parametrize("flow, Ha", [("couette", 1.0), ("hartmann", 10.0)])
 def test_trial_block_size_changes_no_report(wb, monkeypatch, flow, Ha):
-    # blocks are drawn from one generator and none holds a single field
-    # unless trials is 1, so every block size gives the bits of one batch
+    # blocks are drawn from one generator and each field takes the same
+    # arithmetic in any block, a block of one field included, so every
+    # block size gives the bits of one batch
     params, op = wb.params(flow, Ha), wb.op(60)
     sample = wb.sample(flow, Ha, 60)
     m = wb.solution(flow, Ha, 1.2).m
     for trials in (1, 201, 1000):
-        _, _, fields = _random_clamped_fields(np.random.default_rng(11),
-                                              trials, 1.2, op)
-        prod, diss1, _ = _functionals(fields, params, sample, op)
-        batch = float(np.max(prod / diss1))
-        for block in (4, 7, trials + 1):
+        batch = float(np.max(form_ratios(params, 1.2, sample, op,
+                                         _random_coefficients(
+                                             np.random.default_rng(11),
+                                             trials, op))))
+        for block in (1, 4, 7, trials + 1):
             monkeypatch.setattr(verify, "TRIAL_BLOCK", block)
             report = mhdes.random_trial_bound(params, 1.2, m, trials=trials,
                                               seed=11)
             assert report == {"max_ratio": batch, "gap": m - batch,
                               "m_claimed": m, "trials": trials, "seed": 11}
+
+
+@pytest.mark.parametrize("N", [40, 60, 80])
+def test_trial_forms_match_energy_ratio_of_nodal_fields(wb, N):
+    # the forms are the quadrature and collocation derivative of
+    # energy_ratio regrouped: over both flows, vanishing to large Ha, both
+    # Pm and a from 1e-3 to 60, their ratios agree with energy_ratio on
+    # the nodal fields to rounding of the block's largest ratio, and their
+    # dissipations to rounding of each field's own
+    op = wb.op(N)
+    z = _random_coefficients(np.random.default_rng(N), 50, op)
+    fields = {a: [clamped_field(a, c, op) for c in z]
+              for a in (1e-3, 1.2, 60.0)}
+    for flow in ("couette", "hartmann"):
+        for Ha in (1e-6, 1.0, 50.0, 300.0):
+            for Pm in (0.1, 1.0):
+                params = wb.params(flow, Ha, Pm)
+                sample = mhdes.profile_for(params, op.nodes)
+                for a, flds in fields.items():
+                    prod, diss1 = _trial_forms(params, a, sample, op)(z)
+                    ref = [mhdes.energy_ratio(f, params, sample, op)
+                           for f in flds]
+                    ratio = np.array([br.ratio for br in ref])
+                    d1 = np.array([br.D1 for br in ref])
+                    scale = np.max(np.abs(ratio))
+                    assert np.max(np.abs(prod / diss1 - ratio)) <= \
+                        1e-12 * scale, (flow, Ha, Pm, a)
+                    assert np.max(np.abs(diss1 - d1) / d1) <= 1e-14, \
+                        (flow, Ha, Pm, a)
+
+
+def test_claim_checks_form_no_nodal_random_field(monkeypatch):
+    # the random trials and decay fields are evaluated by their forms: no
+    # derivative of a block of nodal fields is taken
+    ddz = verify._ddz
+
+    def single(f, op):
+        if np.ndim(f) != 1:
+            raise AssertionError(f"derivative of a {np.shape(f)} block")
+        return ddz(f, op)
+
+    monkeypatch.setattr(verify, "_ddz", single)
+    field, params, m, sample, op = solved_claim("hartmann", 10.0)
+    checks = mhdes.check_claim(field, params, m, m, 42, sample, op)
+    assert all(c["passed"] for c in checks.values())
+    report = mhdes.random_trial_bound(params, 1.2, m, seed=3, N=40)
+    assert report["max_ratio"] <= m * (1.0 + TRIAL_RTOL)
 
 
 def test_trial_memory_does_not_grow_with_trials(wb):
@@ -526,6 +575,10 @@ def test_trial_field_overflow_at_tiny_wavenumbers_is_numerical(wb):
                                                    trials=4)):
         with pytest.raises(NumericalError, match="a=1e-160"):
             check()
+    # the random trials' forms overflow at the window of mhdes verify that
+    # exits 3, with no injected field to raise first
+    with pytest.raises(NumericalError, match="a=1e-150"):
+        mhdes.random_trial_bound(params, 1e-150, 1.0)
     fld = mhdes.make_trial_field(1e-145, wf, wf, op)
     assert np.isfinite(mhdes.energy_ratio(fld, params, sample, op).ratio)
     assert mhdes.poincare_check(fld, op).satisfied
