@@ -11,57 +11,48 @@ spanwise wavenumber is the reciprocal of the largest eigenvalue of a clamped
 variational pencil; minimizing over wavenumber gives the global bound.
 Independent quadrature and finite-difference routes verify the spectral
 results.
+
+Each layer module is imported on the first use of a name it defines
+(PEP 562), so ``import mhdes`` loads no NumPy, and the command line can
+choose its BLAS thread count before NumPy starts.
 """
 
-from .baseflow import (HA_FLOOR, BaseFlowSample, Params, baseflow_residual,
-                       couette_profile, hartmann_profile, profile_for)
-from .critical import NeutralPoint, minimize_over_a, neutral_sweep
-from .errors import (ConsistencyError, MhdesError, NumericalError,
-                     ParameterError, VerificationError)
-from .orr_evp import (EvpPencil, EvpSolution, assemble_pencil, reynolds_curve,
-                      solve_max_m)
-from .spectral import (ClampedMaps, SpectralOperator, build_operator,
-                       clamped_restrict)
-from .verify import (DecayReport, EnergyBreakdown, PoincareReport, TrialField,
-                     check_claim, decay_check, energy_ratio, fd_oracle,
-                     make_trial_field, poincare_check, random_trial_bound)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "HA_FLOOR",
-    "BaseFlowSample",
-    "Params",
-    "baseflow_residual",
-    "couette_profile",
-    "hartmann_profile",
-    "profile_for",
-    "NeutralPoint",
-    "minimize_over_a",
-    "neutral_sweep",
-    "MhdesError",
-    "ParameterError",
-    "ConsistencyError",
-    "NumericalError",
-    "VerificationError",
-    "EvpPencil",
-    "EvpSolution",
-    "assemble_pencil",
-    "solve_max_m",
-    "reynolds_curve",
-    "SpectralOperator",
-    "ClampedMaps",
-    "build_operator",
-    "clamped_restrict",
-    "TrialField",
-    "EnergyBreakdown",
-    "DecayReport",
-    "PoincareReport",
-    "make_trial_field",
-    "energy_ratio",
-    "random_trial_bound",
-    "decay_check",
-    "poincare_check",
-    "fd_oracle",
-    "check_claim",
-]
+# each public name by the layer that defines it
+_EXPORTS = {
+    "baseflow": ("HA_FLOOR", "BaseFlowSample", "Params", "baseflow_residual",
+                 "couette_profile", "hartmann_profile", "profile_for"),
+    "critical": ("NeutralPoint", "minimize_over_a", "neutral_sweep"),
+    "errors": ("MhdesError", "ParameterError", "ConsistencyError",
+               "NumericalError", "VerificationError"),
+    "orr_evp": ("EvpPencil", "EvpSolution", "assemble_pencil", "solve_max_m",
+                "reynolds_curve"),
+    "spectral": ("SpectralOperator", "ClampedMaps", "build_operator",
+                 "clamped_restrict"),
+    "verify": ("TrialField", "EnergyBreakdown", "DecayReport",
+               "PoincareReport", "make_trial_field", "energy_ratio",
+               "random_trial_bound", "decay_check", "poincare_check",
+               "fd_oracle", "check_claim"),
+}
+_LAYERS = (*_EXPORTS, "cli")
+_HOME = {name: layer for layer, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_HOME)
+
+
+def __getattr__(name):
+    if name in _LAYERS:
+        # importing a submodule binds it in this namespace
+        return importlib.import_module(f".{name}", __name__)
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__, *_LAYERS})

@@ -10,10 +10,14 @@ sets.  A config file may hold every field; every command validates all of
 them and reads the ones it uses.  All numeric output uses 17-significant-digit
 scientific notation and contains no timestamps, so reruns at a fixed BLAS
 thread setting are byte-identical; at another thread count the last digits
-can differ, since BLAS sums in another order.  ``curve`` and ``neutral``
-run the library sweeps ``reynolds_curve`` and ``neutral_sweep`` one
-Hartmann number after another; a point that fails to solve is printed as
-NaN and the remaining points are still computed.  Warnings of the library
+can differ, since BLAS sums in another order.  Imported before NumPy, with
+none of OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS and OMP_NUM_THREADS set,
+this module sets OPENBLAS_NUM_THREADS=1: OpenBLAS's idle worker would spin
+on a second core, and at the default N = 60 no call of the command hands it
+a job.  An explicit setting wins.  ``curve`` and ``neutral`` run the
+library sweeps ``reynolds_curve`` and ``neutral_sweep`` one Hartmann number
+after another; a point that fails to solve is printed as NaN and the
+remaining points are still computed.  Warnings of the library
 (a point or a whole Hartmann number that failed) reach stderr through one
 logging handler, prefixed ``mhdes: warning:`` like the command's own
 messages.
@@ -28,8 +32,16 @@ import dataclasses
 import json
 import logging
 import math
+import os
 import sys
 from dataclasses import dataclass
+
+# the command owns its process, so it declines the BLAS worker unless the
+# caller chose a thread count; once NumPy is loaded the setting is moot
+if "numpy" not in sys.modules and not any(
+        var in os.environ for var in ("OPENBLAS_NUM_THREADS",
+                                      "GOTO_NUM_THREADS", "OMP_NUM_THREADS")):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import numpy as np
 
@@ -40,7 +52,6 @@ from .errors import (MhdesError, NumericalError, ParameterError,
                      wavenumber)
 from .orr_evp import assemble_pencil, reynolds_curve, solve_max_m
 from .spectral import N_MAX, N_MIN, build_operator, setup
-from .verify import check_claim, make_trial_field
 
 PROFILE_HEADER = ("z", "U", "Uprime", "Usecond", "Bbar", "Bprime", "Bsecond")
 CURVE_HEADER = ("flow", "Ha", "Pm", "a", "Re")
@@ -207,6 +218,8 @@ def cmd_neutral(config):
 
 def _verify_point(config, Ha, perturb_m_rel):
     """Solve at one Ha, then check the offset claim: the point's report."""
+    from .verify import check_claim, make_trial_field
+
     params = Params(flow=config.flow, Ha=Ha, Pm=config.Pm)
     op, maps = setup(config.N)
     sample = profile_for(params, op.nodes)

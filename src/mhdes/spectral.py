@@ -85,21 +85,22 @@ def _chebdif(N):
 
 
 def _clencurt(N):
-    """Clenshaw-Curtis quadrature weights on the N+1 CGL nodes."""
-    theta = np.pi * np.arange(N + 1) / N
+    """Clenshaw-Curtis quadrature weights on the N+1 CGL nodes.
+
+    The interior weights are 1 minus the cosine terms, summed in order of
+    k by one cumulative sum down the stacked terms.
+    """
+    theta = np.pi * np.arange(1, N) / N
+    kk = np.arange(1, (N - 1) // 2 + 1)[:, None]
+    terms = [np.ones((1, N - 1)),
+             -(2.0 * np.cos(2 * kk * theta) / (4 * kk**2 - 1))]
     w = np.zeros(N + 1)
-    ii = np.arange(1, N)
-    v = np.ones(N - 1)
     if N % 2 == 0:
         w[0] = w[N] = 1.0 / (N**2 - 1)
-        for kk in range(1, N // 2):
-            v -= 2.0 * np.cos(2 * kk * theta[ii]) / (4 * kk**2 - 1)
-        v -= np.cos(N * theta[ii]) / (N**2 - 1)
+        terms.append(-(np.cos(N * theta) / (N**2 - 1))[None])
     else:
         w[0] = w[N] = 1.0 / N**2
-        for kk in range(1, (N - 1) // 2 + 1):
-            v -= 2.0 * np.cos(2 * kk * theta[ii]) / (4 * kk**2 - 1)
-    w[ii] = 2.0 * v / N
+    w[1:N] = 2.0 * np.cumsum(np.concatenate(terms), axis=0)[-1] / N
     return w
 
 

@@ -5,7 +5,8 @@ import numpy.polynomial.chebyshev as ncheb
 import pytest
 
 from mhdes.errors import ParameterError
-from mhdes.spectral import _chebdif, build_operator, clamped_restrict
+from mhdes.spectral import (_chebdif, _clencurt, build_operator,
+                            clamped_restrict)
 
 
 def test_small_grid_nodes_are_exact():
@@ -44,6 +45,31 @@ def test_weights_positive_and_sum_to_two(wb):
         w = wb.op(N).qweights
         assert np.all(w > 0)
         assert abs(np.sum(w) - 2.0) <= 1e-12
+
+
+def _clencurt_by_loop(N):
+    # the weights summed one cosine term at a time
+    theta = np.pi * np.arange(N + 1) / N
+    w = np.zeros(N + 1)
+    ii = np.arange(1, N)
+    v = np.ones(N - 1)
+    if N % 2 == 0:
+        w[0] = w[N] = 1.0 / (N**2 - 1)
+        for kk in range(1, N // 2):
+            v -= 2.0 * np.cos(2 * kk * theta[ii]) / (4 * kk**2 - 1)
+        v -= np.cos(N * theta[ii]) / (N**2 - 1)
+    else:
+        w[0] = w[N] = 1.0 / N**2
+        for kk in range(1, (N - 1) // 2 + 1):
+            v -= 2.0 * np.cos(2 * kk * theta[ii]) / (4 * kk**2 - 1)
+    w[ii] = 2.0 * v / N
+    return w
+
+
+def test_quadrature_weights_are_the_term_by_term_sum_bit_for_bit():
+    for N in range(8, 513):
+        assert np.array_equal(_clencurt(N).view(np.uint64),
+                              _clencurt_by_loop(N).view(np.uint64)), N
 
 
 def test_quadrature_exact_through_degree(wb):
